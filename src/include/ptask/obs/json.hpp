@@ -35,8 +35,13 @@ struct Value {
   const Value* find(std::string_view key) const;
 };
 
+/// Deepest array/object nesting parse() accepts.  The parser recurses once
+/// per level, so the cap bounds its stack use against hostile input.
+inline constexpr int kMaxDepth = 256;
+
 /// Parses one complete JSON document.  Throws std::runtime_error (with a
-/// byte offset) on malformed input or trailing garbage.
+/// byte offset) on malformed input, trailing garbage, or nesting deeper
+/// than kMaxDepth.
 Value parse(std::string_view text);
 
 }  // namespace ptask::obs::json

@@ -103,6 +103,8 @@
 /// Every error increments a `serve.error.PTS00x` counter in the metrics
 /// registry.  See docs/SERVICE.md for the full field tables.
 
+#include <charconv>
+#include <concepts>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -190,7 +192,8 @@ struct CloseRequest {
 /// configures a smaller limit).
 inline constexpr std::uint32_t kMaxFrameBytes = 64u * 1024u * 1024u;
 
-/// Prepends the 4-byte big-endian length header to `payload`.
+/// Prepends the 4-byte big-endian length header to `payload` (requests;
+/// the server writes its responses in place, see ResponseFrame).
 std::string encode_frame(std::string_view payload);
 
 /// Decodes the 4-byte big-endian length header.
@@ -268,14 +271,13 @@ std::string extract_request_id_loose(std::string_view payload);
 /// cached and uncached responses.
 std::string serialize_schedule(const sched::Schedule& schedule);
 
-/// {"ok":true,"schedule":<schedule_json>}
-std::string ok_response(std::string_view schedule_json);
-
-/// {"ok":true,"schedule":<schedule_json>,"certificate_hash":"0x..."} -- the
-/// certified variant; `certificate_hash` is hash_hex(fnv1a64(bytes)) of the
-/// schedule body, so any holder of the response can re-verify the binding.
+/// {"ok":true,"schedule":<schedule_json>}, or with a non-empty
+/// `certificate_hash` the certified variant {"ok":true,"schedule":
+/// <schedule_json>,"certificate_hash":"0x..."}; the hash is
+/// hash_hex(fnv1a64(bytes)) of the schedule body, so any holder of the
+/// response can re-verify the binding.
 std::string ok_response(std::string_view schedule_json,
-                        std::string_view certificate_hash);
+                        std::string_view certificate_hash = {});
 
 /// Session response: {"ok":true,"session":"<id>","incremental":{
 /// "total_layers":T,"layers_reused":R,"layers_scheduled":S,
@@ -286,47 +288,97 @@ std::string session_response(std::string_view session_id,
                              const sched::RepairStats& stats,
                              std::string_view schedule_json);
 
-/// {"ok":true,"session":"<id>","closed":true}
-std::string close_response(std::string_view session_id);
-
-/// {"ok":false,"error":{"code":...,"message":...}}
-std::string error_response(std::string_view code, std::string_view message);
-
-/// {"ok":false,"error":{"code":"PTS008","message":...,
-/// "retry_after_ms":N}} -- the admission-control rejection.  The backoff
-/// hint is part of the error object so it survives generic error handling
-/// (clients that only look at code/message ignore it safely).
-std::string overload_response(std::string_view message,
-                              std::uint64_t retry_after_ms);
-
 /// The "retry_after_ms" hint of a PTS008 error response; -1 when the
 /// response is not an overload rejection (or does not parse).
 std::int64_t response_retry_after_ms(std::string_view payload);
 
-/// {"ok":true,"pong":true}
-std::string pong_response();
+// ---- framed responses (server side) ----
 
-/// Inserts `,"request_id":"<id>"` right after the leading "ok" member of a
-/// rendered response ({"ok":true,...} or {"ok":false,...}); responses not
-/// of that shape are returned unchanged.  The fixed position keeps the rest
-/// of the response -- notably the schedule bytes -- untouched, so cached
-/// responses stay byte-identical modulo this one member.
-std::string with_request_id(std::string_view response, std::string_view id);
+/// One response frame written in place, so every response byte is
+/// formatted once, straight into the buffer the reactor sends from.  The
+/// constructor reserves the 4-byte length header and opens the envelope
+/// `{"ok":true` / `{"ok":false`, followed by `,"request_id":"<id>"` when
+/// `request_id` is non-empty; callers append the response members (each
+/// with its leading ','), and finish() closes the object and patches the
+/// big-endian length.  The bytes equal encode_frame() of the unframed
+/// response with the id spliced right after "ok" -- the fixed position
+/// keeps the rest of the response (notably the schedule bytes) identical
+/// across ids.  `member_bytes` is a capacity hint for the members.
+class ResponseFrame {
+ public:
+  ResponseFrame(bool ok, std::string_view request_id,
+                std::size_t member_bytes = 0);
 
-/// {"ok":true,"metrics":"<exposition>"} -- the Prometheus text exposition
-/// as one JSON string.
-std::string metrics_response(std::string_view exposition);
+  /// The frame under construction; append members here.
+  std::string& out() { return frame_; }
 
-/// {"ok":true,"trace":<trace_object>} -- `trace_object` must already be a
-/// self-contained JSON value (a Chrome trace document).
-std::string trace_response(std::string_view trace_object);
+  /// Closes the envelope and returns the finished frame.
+  std::string finish() &&;
+
+ private:
+  std::string frame_;
+};
+
+/// Frame of ok_response(schedule_json), or of its certified variant when
+/// `certificate_hash` is non-empty.
+std::string ok_frame(std::string_view request_id,
+                     std::string_view schedule_json,
+                     std::string_view certificate_hash = {});
+
+/// Frame of the session response for `schedule`, which is serialized
+/// directly into the frame.  `size_hint` (e.g. the size of the session's
+/// previous response) pre-sizes the buffer.
+std::string session_frame(std::string_view request_id,
+                          std::string_view session_id,
+                          const sched::RepairStats& stats,
+                          const sched::Schedule& schedule,
+                          std::size_t size_hint = 0);
+
+/// Frame of {"ok":true,"session":"<id>","closed":true}.
+std::string close_frame(std::string_view request_id,
+                        std::string_view session_id);
+
+/// Frame of {"ok":false,"error":{"code":...,"message":...}}.
+std::string error_frame(std::string_view request_id, std::string_view code,
+                        std::string_view message);
+
+/// Frame of {"ok":false,"error":{"code":"PTS008","message":...,
+/// "retry_after_ms":N}} -- the admission-control rejection.  The backoff
+/// hint is part of the error object so it survives generic error handling
+/// (clients that only look at code/message ignore it safely).
+std::string overload_frame(std::string_view request_id,
+                           std::string_view message,
+                           std::uint64_t retry_after_ms);
+
+/// Frame of {"ok":true,"pong":true}.
+std::string pong_frame(std::string_view request_id);
+
+/// Frame of {"ok":true,"metrics":"<exposition>"} -- the Prometheus text
+/// exposition as one JSON string.
+std::string metrics_frame(std::string_view request_id,
+                          std::string_view exposition);
+
+/// Frame of {"ok":true,"trace":<trace_object>} -- `trace_object` must
+/// already be a self-contained JSON value (a Chrome trace document).
+std::string trace_frame(std::string_view request_id,
+                        std::string_view trace_object);
 
 // ---- low-level JSON helpers (shared with the stats rendering) ----
 
 /// Appends `text` as a JSON string literal (quoted, escaped).
 void append_json_string(std::string& out, std::string_view text);
 
-/// Appends a double with round-trip precision ("%.17g").
+/// Appends a double with round-trip precision: std::to_chars in general
+/// format with 17 significant digits, which the standard defines as the
+/// printf conversion "%.17g" -- same bytes (inf/nan spellings included),
+/// without the locale and varargs cost.
 void append_json_double(std::string& out, double value);
+
+/// Appends a decimal integer (std::to_chars; no temporary string).
+template <std::integral Int>
+void append_json_int(std::string& out, Int value) {
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
+}
 
 }  // namespace ptask::serve

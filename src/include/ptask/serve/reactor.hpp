@@ -61,9 +61,8 @@ class Reactor {
                          Clock::time_point t_request, double span_begin_s,
                          double recv_us)>;
 
-  /// Builds the (unframed) response payload for an oversized frame
-  /// announcing `length` bytes.  The reactor frames it, flushes it, and
-  /// closes the connection.
+  /// Builds the response frame for an oversized frame announcing `length`
+  /// bytes.  The reactor flushes it and closes the connection.
   using OversizeHandler = std::function<std::string(std::uint32_t length)>;
 
   struct Options {
@@ -122,6 +121,9 @@ class Reactor {
   void parse_frames(std::uint64_t conn_id, Connection& conn);
   void flush_output(std::uint64_t conn_id, Connection& conn);
   void finish_flush(std::uint64_t conn_id, Connection& conn);
+  /// Queues `frame` behind the connection's pending output; a drained
+  /// connection adopts the buffer itself, so responses are never copied.
+  void enqueue_output(Connection& conn, std::string&& frame);
   void update_interest(Connection& conn);
   void destroy(std::uint64_t conn_id);
   void drain_commands();

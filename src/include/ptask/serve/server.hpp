@@ -199,7 +199,8 @@ class Server {
   void on_frame(std::uint64_t conn_id, std::string&& payload,
                 Reactor::Clock::time_point t_request, double span_begin_s,
                 double recv_us);
-  /// Reactor-thread entry: builds the PTS005 response for oversized frames.
+  /// Reactor-thread entry: builds the PTS005 response frame for oversized
+  /// frames.
   std::string on_oversize(std::uint32_t length);
   void worker_loop(int worker_index);
   /// Parses/dispatches one payload.  Returns true when `job.response` is
@@ -209,14 +210,17 @@ class Server {
   /// Cache lookup + (on miss) scheduler run for a schedule request; when
   /// `batch` is non-null the run prices through the batch's shared cache.
   void execute_schedule(ParsedJob& job, const sched::BatchScheduler* batch);
-  /// Session requests (online incremental scheduling).  These bypass the
-  /// whole-schedule cache entirely: session responses depend on mutable
-  /// per-session state, so caching them would serve stale schedules.
+  /// Session requests (online incremental scheduling); each returns the
+  /// finished response frame.  These bypass the whole-schedule cache
+  /// entirely: session responses depend on mutable per-session state, so
+  /// caching them would serve stale schedules.
   std::string handle_submit(const SubmitRequest& request, RequestTrace& trace);
   std::string handle_extend(const ExtendRequest& request, RequestTrace& trace);
   std::string handle_close(const CloseRequest& request, RequestTrace& trace);
   /// Mints a process-unique session id ("sess-<nonce>-<seq>").
   std::string mint_session_id();
+  /// Appends the stats response member (`,"stats":{...}`).
+  void append_stats(std::string& out) const;
   /// Request epilogue: records the root request span and, when the total
   /// time crosses the threshold, the slow-log line.
   void finish_request(const RequestTrace& trace, double span_begin_s,

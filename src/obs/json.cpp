@@ -1,8 +1,10 @@
 #include "ptask/obs/json.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cstdlib>
 #include <stdexcept>
+#include <system_error>
 
 namespace ptask::obs::json {
 
@@ -90,7 +92,22 @@ class Parser {
     }
   }
 
+  /// Counts one array/object level for its lifetime.
+  class DepthGuard {
+   public:
+    explicit DepthGuard(Parser& parser) : parser_(parser) {
+      if (++parser_.depth_ > kMaxDepth) parser_.fail("nesting too deep");
+    }
+    ~DepthGuard() { --parser_.depth_; }
+    DepthGuard(const DepthGuard&) = delete;
+    DepthGuard& operator=(const DepthGuard&) = delete;
+
+   private:
+    Parser& parser_;
+  };
+
   Value parse_object() {
+    const DepthGuard guard(*this);
     expect('{');
     Value v;
     v.type = Value::Type::Object;
@@ -120,6 +137,7 @@ class Parser {
   }
 
   Value parse_array() {
+    const DepthGuard guard(*this);
     expect('[');
     Value v;
     v.type = Value::Type::Array;
@@ -242,13 +260,20 @@ class Parser {
     }
     Value v;
     v.type = Value::Type::Number;
-    v.number = std::strtod(std::string(text_.substr(start, pos_ - start)).c_str(),
-                           nullptr);
+    const char* first = text_.data() + start;
+    const char* last = text_.data() + pos_;
+    if (std::from_chars(first, last, v.number).ec ==
+        std::errc::result_out_of_range) {
+      // Overflow and underflow: strtod's ±HUGE_VAL / nearest-subnormal-
+      // or-zero results are the values this parser has always produced.
+      v.number = std::strtod(std::string(first, last).c_str(), nullptr);
+    }
     return v;
   }
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

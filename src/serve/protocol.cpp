@@ -1,5 +1,7 @@
 #include "ptask/serve/protocol.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <cinttypes>
 #include <climits>
 #include <cmath>
@@ -176,12 +178,29 @@ void append_link(std::string& out, std::string_view key,
   out += '}';
 }
 
+/// Int arrays dominate a schedule's bytes (core lists, layer members), so
+/// they are formatted straight into `out`: one size bump for the worst
+/// case (11 chars and a comma per value), one trim at the end.
 void append_int_array(std::string& out, const std::vector<int>& values) {
-  out += '[';
+  constexpr std::size_t kMaxChars = 12;  // "-2147483648,"
+  const std::size_t old_size = out.size();
+  out.resize(old_size + 2 + kMaxChars * values.size());
+  char* p = out.data() + old_size;
+  *p++ = '[';
   for (std::size_t i = 0; i < values.size(); ++i) {
-    if (i != 0) out += ',';
-    out += std::to_string(values[i]);
+    if (i != 0) *p++ = ',';
+    p = std::to_chars(p, p + kMaxChars, values[i]).ptr;
   }
+  *p++ = ']';
+  out.resize(static_cast<std::size_t>(p - out.data()));
+}
+
+/// `[from,to]` of one edge.
+void append_edge(std::string& out, core::TaskId from, core::TaskId to) {
+  out += '[';
+  append_json_int(out, from);
+  out += ',';
+  append_json_int(out, to);
   out += ']';
 }
 
@@ -196,7 +215,8 @@ void append_task_fields(std::string& out, const core::MTask& task) {
   append_json_string(out, task.name());
   out += ",\"work\":";
   append_json_double(out, task.work_flop());
-  out += ",\"max_cores\":" + std::to_string(task.max_cores());
+  out += ",\"max_cores\":";
+  append_json_int(out, task.max_cores());
   out += ",\"marker\":";
   out += task.is_marker() ? "true" : "false";
   out += ",\"comms\":[";
@@ -207,8 +227,11 @@ void append_task_fields(std::string& out, const core::MTask& task) {
     out += kKindNames[static_cast<std::size_t>(op.kind)];
     out += "\",\"scope\":\"";
     out += kScopeNames[static_cast<std::size_t>(op.scope)];
-    out += "\",\"bytes\":" + std::to_string(op.data_bytes);
-    out += ",\"repeat\":" + std::to_string(op.repeat) + '}';
+    out += "\",\"bytes\":";
+    append_json_int(out, op.data_bytes);
+    out += ",\"repeat\":";
+    append_json_int(out, op.repeat);
+    out += '}';
   }
   out += ']';
 }
@@ -325,17 +348,24 @@ void append_json_string(std::string& out, std::string_view text) {
 }
 
 void append_json_double(std::string& out, double value) {
+  // "%.17g" needs at most 24 bytes (-2.2250738585072014e-308).
   char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  out += buf;
+  out.append(buf, std::to_chars(buf, buf + sizeof(buf), value,
+                                std::chars_format::general, 17)
+                      .ptr);
 }
 
-std::string serialize_machine(const arch::MachineSpec& machine) {
-  std::string out = "{\"name\":";
+namespace {
+
+void append_machine(std::string& out, const arch::MachineSpec& machine) {
+  out += "{\"name\":";
   append_json_string(out, machine.name);
-  out += ",\"num_nodes\":" + std::to_string(machine.num_nodes);
-  out += ",\"procs_per_node\":" + std::to_string(machine.procs_per_node);
-  out += ",\"cores_per_proc\":" + std::to_string(machine.cores_per_proc);
+  out += ",\"num_nodes\":";
+  append_json_int(out, machine.num_nodes);
+  out += ",\"procs_per_node\":";
+  append_json_int(out, machine.procs_per_node);
+  out += ",\"cores_per_proc\":";
+  append_json_int(out, machine.cores_per_proc);
   out += ",\"core_flops\":";
   append_json_double(out, machine.core_flops);
   out += ",\"core_efficiency\":";
@@ -349,11 +379,10 @@ std::string serialize_machine(const arch::MachineSpec& machine) {
   out += ',';
   append_link(out, "inter_node", machine.inter_node);
   out += '}';
-  return out;
 }
 
-std::string serialize_graph(const core::TaskGraph& graph) {
-  std::string out = "{\"tasks\":[";
+void append_graph(std::string& out, const core::TaskGraph& graph) {
+  out += "{\"tasks\":[";
   for (core::TaskId id = 0; id < graph.num_tasks(); ++id) {
     if (id != 0) out += ',';
     out += '{';
@@ -366,10 +395,23 @@ std::string serialize_graph(const core::TaskGraph& graph) {
     for (const core::TaskId to : graph.successors(from)) {
       if (!first) out += ',';
       first = false;
-      out += '[' + std::to_string(from) + ',' + std::to_string(to) + ']';
+      append_edge(out, from, to);
     }
   }
   out += "]}";
+}
+
+}  // namespace
+
+std::string serialize_machine(const arch::MachineSpec& machine) {
+  std::string out;
+  append_machine(out, machine);
+  return out;
+}
+
+std::string serialize_graph(const core::TaskGraph& graph) {
+  std::string out;
+  append_graph(out, graph);
   return out;
 }
 
@@ -377,9 +419,12 @@ std::string serialize_request(const ScheduleRequest& request,
                               bool include_annotations) {
   std::string out = "{\"type\":\"schedule\",\"scheduler\":";
   append_json_string(out, request.scheduler);
-  out += ",\"total_cores\":" + std::to_string(request.total_cores);
-  out += ",\"machine\":" + serialize_machine(request.machine);
-  out += ",\"graph\":" + serialize_graph(request.graph);
+  out += ",\"total_cores\":";
+  append_json_int(out, request.total_cores);
+  out += ",\"machine\":";
+  append_machine(out, request.machine);
+  out += ",\"graph\":";
+  append_graph(out, request.graph);
   // Optional members are emitted only when set: pre-certification request
   // bytes stay stable, and parse -> serialize still round-trips exactly.
   if (request.certify) out += ",\"certify\":true";
@@ -448,10 +493,12 @@ std::string canonical_key(const ScheduleRequest& request) {
 }
 
 std::string serialize_submit(const SubmitRequest& request) {
-  std::string out = "{\"type\":\"submit\",\"total_cores\":" +
-                    std::to_string(request.total_cores);
-  out += ",\"machine\":" + serialize_machine(request.machine);
-  out += ",\"graph\":" + serialize_graph(request.graph);
+  std::string out = "{\"type\":\"submit\",\"total_cores\":";
+  append_json_int(out, request.total_cores);
+  out += ",\"machine\":";
+  append_machine(out, request.machine);
+  out += ",\"graph\":";
+  append_graph(out, request.graph);
   out += ",\"release_time\":";
   append_json_double(out, request.release_time);
   append_annotations(out, request.request_id, request.family);
@@ -472,14 +519,15 @@ std::string serialize_extend(const ExtendRequest& request) {
     append_task_fields(out, arriving.task);
     out += ",\"release_time\":";
     append_json_double(out, arriving.release_time);
-    out += ",\"priority\":" + std::to_string(arriving.priority);
+    out += ",\"priority\":";
+    append_json_int(out, arriving.priority);
     out += '}';
   }
   out += "],\"edges\":[";
   for (std::size_t i = 0; i < request.delta.edges.size(); ++i) {
     if (i != 0) out += ',';
-    out += '[' + std::to_string(request.delta.edges[i].first) + ',' +
-           std::to_string(request.delta.edges[i].second) + ']';
+    append_edge(out, request.delta.edges[i].first,
+                request.delta.edges[i].second);
   }
   out += "]}";
   append_annotations(out, request.request_id, request.family);
@@ -617,10 +665,13 @@ std::string extract_request_id_loose(std::string_view payload) {
   return id;
 }
 
-std::string serialize_schedule(const sched::Schedule& schedule) {
-  std::string out = "{\"strategy\":";
+namespace {
+
+void append_schedule(std::string& out, const sched::Schedule& schedule) {
+  out += "{\"strategy\":";
   append_json_string(out, schedule.strategy);
-  out += ",\"total_cores\":" + std::to_string(schedule.total_cores());
+  out += ",\"total_cores\":";
+  append_json_int(out, schedule.total_cores());
   out += ",\"makespan\":";
   append_json_double(out, schedule.makespan());
   out += ",\"allocation\":";
@@ -658,43 +709,90 @@ std::string serialize_schedule(const sched::Schedule& schedule) {
     out += '}';
   }
   out += "]}";
+}
+
+}  // namespace
+
+std::string serialize_schedule(const sched::Schedule& schedule) {
+  std::string out;
+  append_schedule(out, schedule);
   return out;
 }
 
-std::string ok_response(std::string_view schedule_json) {
-  std::string out = "{\"ok\":true,\"schedule\":";
+namespace {
+
+// Response members, shared by the unframed *_response renderings and the
+// framed writers.  Each appends its members with their leading ','.
+
+constexpr std::string_view kOkOpen = "{\"ok\":true";
+constexpr std::string_view kScheduleKey = ",\"schedule\":";
+constexpr std::string_view kCertificateKey = ",\"certificate_hash\":";
+
+void append_schedule_members(std::string& out, std::string_view schedule_json,
+                             std::string_view certificate_hash) {
+  out += kScheduleKey;
   out += schedule_json;
-  out += '}';
-  return out;
+  if (!certificate_hash.empty()) {
+    out += kCertificateKey;
+    append_json_string(out, certificate_hash);
+  }
 }
 
-std::string ok_response(std::string_view schedule_json,
-                        std::string_view certificate_hash) {
-  std::string out = "{\"ok\":true,\"schedule\":";
-  out += schedule_json;
-  out += ",\"certificate_hash\":";
-  append_json_string(out, certificate_hash);
+/// Everything of a session response before the schedule body, ending in
+/// the "schedule" key: the schedule must stay the LAST member, since
+/// Client::response_schedule_json slices from that key to the closing
+/// brace of the response.
+void append_session_head(std::string& out, std::string_view session_id,
+                         const sched::RepairStats& stats) {
+  out += ",\"session\":";
+  append_json_string(out, session_id);
+  out += ",\"incremental\":{\"total_layers\":";
+  append_json_int(out, stats.total_layers);
+  out += ",\"layers_reused\":";
+  append_json_int(out, stats.layers_reused);
+  out += ",\"layers_scheduled\":";
+  append_json_int(out, stats.layers_scheduled);
+  out += ",\"settled_prefix\":";
+  append_json_int(out, stats.settled_prefix);
   out += '}';
-  return out;
+  out += kScheduleKey;
 }
 
-std::string error_response(std::string_view code, std::string_view message) {
-  std::string out = "{\"ok\":false,\"error\":{\"code\":";
+void append_error_head(std::string& out, std::string_view code,
+                       std::string_view message) {
+  out += ",\"error\":{\"code\":";
   append_json_string(out, code);
   out += ",\"message\":";
   append_json_string(out, message);
-  out += "}}";
+}
+
+/// Envelope, session head and a short id: what a session response adds
+/// around its schedule body.
+constexpr std::size_t kSessionOverheadBytes = 256;
+
+}  // namespace
+
+std::string ok_response(std::string_view schedule_json,
+                        std::string_view certificate_hash) {
+  std::string out;
+  out.reserve(kOkOpen.size() + kScheduleKey.size() + schedule_json.size() +
+              kCertificateKey.size() + certificate_hash.size() + 3);
+  out += kOkOpen;
+  append_schedule_members(out, schedule_json, certificate_hash);
+  out += '}';
   return out;
 }
 
-std::string overload_response(std::string_view message,
-                              std::uint64_t retry_after_ms) {
-  std::string out = "{\"ok\":false,\"error\":{\"code\":";
-  append_json_string(out, kErrOverloaded);
-  out += ",\"message\":";
-  append_json_string(out, message);
-  out += ",\"retry_after_ms\":" + std::to_string(retry_after_ms);
-  out += "}}";
+std::string session_response(std::string_view session_id,
+                             const sched::RepairStats& stats,
+                             std::string_view schedule_json) {
+  std::string out;
+  out.reserve(kSessionOverheadBytes + session_id.size() +
+              schedule_json.size());
+  out += kOkOpen;
+  append_session_head(out, session_id, stats);
+  out += schedule_json;
+  out += '}';
   return out;
 }
 
@@ -711,63 +809,101 @@ std::int64_t response_retry_after_ms(std::string_view payload) {
   return -1;
 }
 
-std::string pong_response() { return "{\"ok\":true,\"pong\":true}"; }
-
-std::string with_request_id(std::string_view response, std::string_view id) {
-  constexpr std::string_view kOk = "{\"ok\":true";
-  constexpr std::string_view kErr = "{\"ok\":false";
-  std::size_t pos = 0;
-  if (response.substr(0, kOk.size()) == kOk) {
-    pos = kOk.size();
-  } else if (response.substr(0, kErr.size()) == kErr) {
-    pos = kErr.size();
-  } else {
-    return std::string(response);
+ResponseFrame::ResponseFrame(bool ok, std::string_view request_id,
+                             std::size_t member_bytes) {
+  constexpr std::string_view kIdKey = ",\"request_id\":";
+  // Escaping can grow the id; the hint only has to be close.
+  frame_.reserve(4 + 12 + kIdKey.size() + request_id.size() + 2 +
+                 member_bytes + 1);
+  frame_.assign(4, '\0');  // length header, patched by finish()
+  frame_ += ok ? "{\"ok\":true" : "{\"ok\":false";
+  if (!request_id.empty()) {
+    frame_ += kIdKey;
+    append_json_string(frame_, request_id);
   }
-  std::string out(response.substr(0, pos));
-  out += ",\"request_id\":";
-  append_json_string(out, id);
-  out += response.substr(pos);
-  return out;
 }
 
-std::string metrics_response(std::string_view exposition) {
-  std::string out = "{\"ok\":true,\"metrics\":";
-  append_json_string(out, exposition);
-  out += '}';
-  return out;
+std::string ResponseFrame::finish() && {
+  frame_ += '}';
+  const auto length = static_cast<std::uint32_t>(frame_.size() - 4);
+  frame_[0] = static_cast<char>((length >> 24) & 0xff);
+  frame_[1] = static_cast<char>((length >> 16) & 0xff);
+  frame_[2] = static_cast<char>((length >> 8) & 0xff);
+  frame_[3] = static_cast<char>(length & 0xff);
+  return std::move(frame_);
 }
 
-std::string session_response(std::string_view session_id,
-                             const sched::RepairStats& stats,
-                             std::string_view schedule_json) {
-  std::string out = "{\"ok\":true,\"session\":";
-  append_json_string(out, session_id);
-  out += ",\"incremental\":{\"total_layers\":" +
-         std::to_string(stats.total_layers);
-  out += ",\"layers_reused\":" + std::to_string(stats.layers_reused);
-  out += ",\"layers_scheduled\":" + std::to_string(stats.layers_scheduled);
-  out += ",\"settled_prefix\":" + std::to_string(stats.settled_prefix) + '}';
-  // "schedule" must stay the LAST member: Client::response_schedule_json
-  // slices from the "schedule" key to the closing brace of the response.
-  out += ",\"schedule\":";
-  out += schedule_json;
-  out += '}';
-  return out;
+std::string ok_frame(std::string_view request_id,
+                     std::string_view schedule_json,
+                     std::string_view certificate_hash) {
+  ResponseFrame frame(true, request_id,
+                      kScheduleKey.size() + schedule_json.size() +
+                          kCertificateKey.size() + certificate_hash.size() +
+                          2);
+  append_schedule_members(frame.out(), schedule_json, certificate_hash);
+  return std::move(frame).finish();
 }
 
-std::string close_response(std::string_view session_id) {
-  std::string out = "{\"ok\":true,\"session\":";
-  append_json_string(out, session_id);
-  out += ",\"closed\":true}";
-  return out;
+std::string session_frame(std::string_view request_id,
+                          std::string_view session_id,
+                          const sched::RepairStats& stats,
+                          const sched::Schedule& schedule,
+                          std::size_t size_hint) {
+  ResponseFrame frame(true, request_id,
+                      std::max(size_hint, kSessionOverheadBytes));
+  append_session_head(frame.out(), session_id, stats);
+  append_schedule(frame.out(), schedule);
+  return std::move(frame).finish();
 }
 
-std::string trace_response(std::string_view trace_object) {
-  std::string out = "{\"ok\":true,\"trace\":";
-  out += trace_object;
-  out += '}';
-  return out;
+std::string close_frame(std::string_view request_id,
+                        std::string_view session_id) {
+  ResponseFrame frame(true, request_id, session_id.size() + 32);
+  frame.out() += ",\"session\":";
+  append_json_string(frame.out(), session_id);
+  frame.out() += ",\"closed\":true";
+  return std::move(frame).finish();
+}
+
+std::string error_frame(std::string_view request_id, std::string_view code,
+                        std::string_view message) {
+  ResponseFrame frame(false, request_id, message.size() + 48);
+  append_error_head(frame.out(), code, message);
+  frame.out() += '}';
+  return std::move(frame).finish();
+}
+
+std::string overload_frame(std::string_view request_id,
+                           std::string_view message,
+                           std::uint64_t retry_after_ms) {
+  ResponseFrame frame(false, request_id, message.size() + 80);
+  append_error_head(frame.out(), kErrOverloaded, message);
+  frame.out() += ",\"retry_after_ms\":";
+  append_json_int(frame.out(), retry_after_ms);
+  frame.out() += '}';
+  return std::move(frame).finish();
+}
+
+std::string pong_frame(std::string_view request_id) {
+  ResponseFrame frame(true, request_id, 16);
+  frame.out() += ",\"pong\":true";
+  return std::move(frame).finish();
+}
+
+std::string metrics_frame(std::string_view request_id,
+                          std::string_view exposition) {
+  ResponseFrame frame(true, request_id, exposition.size() + 16);
+  frame.out() += ",\"metrics\":";
+  append_json_string(frame.out(), exposition);
+  return std::move(frame).finish();
+}
+
+std::string trace_frame(std::string_view request_id,
+                        std::string_view trace_object) {
+  ResponseFrame frame(true, request_id, trace_object.size() + 16);
+  frame.out() += ",\"trace\":";
+  frame.out() += trace_object;
+  return std::move(frame).finish();
 }
 
 }  // namespace ptask::serve

@@ -311,10 +311,8 @@ void Reactor::parse_frames(std::uint64_t conn_id, Connection& conn) {
       // connection once it is flushed (the payload is never read;
       // resynchronization inside the stream is not possible).
       conn.busy = true;  // stop parsing; nothing further is trusted
-      const std::string response = on_oversize_(length);
       conn.close_after_flush = true;
-      if (conn.out.size() <= conn.out_off) conn.send_t0 = Clock::now();
-      conn.out += encode_frame(response);
+      enqueue_output(conn, on_oversize_(length));
       update_interest(conn);
       flush_output(conn_id, conn);
       return;
@@ -390,7 +388,9 @@ void Reactor::finish_flush(std::uint64_t conn_id, Connection& conn) {
     update_interest(conn);
     return;
   }
-  conn.out.clear();
+  // Release the sent frame now: the next response brings its own buffer
+  // (enqueue_output adopts it), so an idle connection holds none.
+  std::string().swap(conn.out);
   conn.out_off = 0;
   const double send_us = elapsed_us(conn.send_t0);
   phase_send.observe(
@@ -420,6 +420,17 @@ void Reactor::finish_flush(std::uint64_t conn_id, Connection& conn) {
     conn.span_begin_s = obs::enabled() ? obs::tracer().now() : 0.0;
   }
   parse_frames(conn_id, conn);
+}
+
+void Reactor::enqueue_output(Connection& conn, std::string&& frame) {
+  if (conn.out.size() <= conn.out_off) {
+    // Drained: adopt the frame's buffer instead of copying it.
+    conn.send_t0 = Clock::now();
+    conn.out = std::move(frame);
+    conn.out_off = 0;
+  } else {
+    conn.out += frame;
+  }
 }
 
 void Reactor::update_interest(Connection& conn) {
@@ -457,8 +468,7 @@ void Reactor::drain_commands() {
       destroy(command.conn_id);
       continue;
     }
-    if (conn.out.size() <= conn.out_off) conn.send_t0 = Clock::now();
-    conn.out += command.frame;
+    enqueue_output(conn, std::move(command.frame));
     if (command.close_after) conn.close_after_flush = true;
     flush_output(command.conn_id, conn);
   }

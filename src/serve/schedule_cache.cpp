@@ -1,6 +1,8 @@
 #include "ptask/serve/schedule_cache.hpp"
 
 #include <iterator>
+#include <string>
+#include <utility>
 
 #include "ptask/obs/metrics.hpp"
 
@@ -53,7 +55,12 @@ ScheduleCache::Entry ScheduleCache::get_or_compute(
   misses_.fetch_add(1, std::memory_order_relaxed);
   miss_counter.add();
   try {
-    Entry value = std::make_shared<const std::string>(compute());
+    // Stored at their exact size: serializers grow their output by
+    // doubling, and across thousands of entries that slack is a third of
+    // the cache's memory.
+    std::string bytes = compute();
+    bytes.shrink_to_fit();
+    Entry value = std::make_shared<const std::string>(std::move(bytes));
     promise.set_value(value);
     {
       const std::lock_guard<std::mutex> lock(shard.mutex);

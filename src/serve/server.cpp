@@ -112,6 +112,9 @@ struct Server::SessionState {
   std::mutex mutex;
   cost::CostModel cost;
   sched::IncrementalScheduler scheduler;
+  /// Size of the last response frame: sessions only grow, so it pre-sizes
+  /// the next frame and the schedule is serialized without reallocation.
+  std::size_t last_frame_bytes = 0;
 };
 
 namespace {
@@ -169,7 +172,7 @@ struct Server::ParsedJob {
   RequestTrace trace;
   bool tracing = false;
   Clock::time_point t0{};  ///< latency clock (starts at parse)
-  std::string response;
+  std::string response;    ///< the finished response frame
   bool done = false;
   std::optional<ScheduleRequest> request;
   std::string compat;  ///< batching compatibility key
@@ -392,15 +395,14 @@ void Server::on_frame(std::uint64_t conn_id, std::string&& payload,
       trace.recv_us = recv_us;
       trace.request_id = extract_request_id_loose(rejected_payload);
       if (trace.request_id.empty()) trace.request_id = mint_request_id();
-      const std::string response = with_request_id(
-          overload_response(
-              "admission queue full (" + std::to_string(options_.max_queue) +
-                  " requests); retry after the hint",
-              options_.overload_retry_after_ms),
-          trace.request_id);
+      std::string frame = overload_frame(
+          trace.request_id,
+          "admission queue full (" + std::to_string(options_.max_queue) +
+              " requests); retry after the hint",
+          options_.overload_retry_after_ms);
       trace.total_us = elapsed_us(t_request);
       finish_request(trace, span_begin_s, obs::enabled());
-      reactor_->respond(conn_id, encode_frame(response));
+      reactor_->respond(conn_id, std::move(frame));
       return;
     }
   }
@@ -416,15 +418,13 @@ std::string Server::on_oversize(std::uint32_t length) {
   RequestTrace trace;
   trace.error_code = kErrTooLarge;
   trace.request_id = mint_request_id();
-  const std::string response = with_request_id(
-      error_response(kErrTooLarge,
-                     "request of " + std::to_string(length) +
-                         " bytes exceeds the limit of " +
-                         std::to_string(options_.max_request_bytes)),
-      trace.request_id);
+  std::string frame = error_frame(
+      trace.request_id, kErrTooLarge,
+      "request of " + std::to_string(length) + " bytes exceeds the limit of " +
+          std::to_string(options_.max_request_bytes));
   finish_request(trace, obs::enabled() ? obs::tracer().now() : 0.0,
                  obs::enabled());
-  return response;
+  return frame;
 }
 
 void Server::worker_loop(int worker_index) {
@@ -513,7 +513,7 @@ void Server::worker_loop(int worker_index) {
     for (ParsedJob& item : parsed) {
       item.trace.total_us = elapsed_us(item.job.t_request);
       finish_request(item.trace, item.job.span_begin_s, item.tracing);
-      reactor_->respond(item.job.conn_id, encode_frame(item.response));
+      reactor_->respond(item.job.conn_id, std::move(item.response));
       in_flight_.fetch_sub(1, std::memory_order_relaxed);
     }
   }
@@ -559,15 +559,16 @@ bool Server::dispatch_payload(ParsedJob& item) {
           parse_phase.finish();
           trace.kind = "stats";
           responses_ok.add();
-          item.response = with_request_id(render_stats(), trace.request_id);
+          ResponseFrame frame(true, trace.request_id);
+          append_stats(frame.out());
+          item.response = std::move(frame).finish();
           return true;
         }
         if (type->is_string() && type->string == "metrics") {
           parse_phase.finish();
           trace.kind = "metrics";
           responses_ok.add();
-          item.response = with_request_id(metrics_response(render_metrics()),
-                                          trace.request_id);
+          item.response = metrics_frame(trace.request_id, render_metrics());
           return true;
         }
         if (type->is_string() && type->string == "trace") {
@@ -579,15 +580,14 @@ bool Server::dispatch_payload(ParsedJob& item) {
           // open land in the next dump.
           std::string chrome = obs::render_chrome_trace(obs::tracer().take());
           while (!chrome.empty() && chrome.back() == '\n') chrome.pop_back();
-          item.response =
-              with_request_id(trace_response(chrome), trace.request_id);
+          item.response = trace_frame(trace.request_id, chrome);
           return true;
         }
         if (type->is_string() && type->string == "ping") {
           parse_phase.finish();
           trace.kind = "ping";
           responses_ok.add();
-          item.response = with_request_id(pong_response(), trace.request_id);
+          item.response = pong_frame(trace.request_id);
           return true;
         }
         // Session requests (online incremental scheduling).  These never
@@ -600,9 +600,8 @@ bool Server::dispatch_payload(ParsedJob& item) {
           trace.kind = "submit";
           trace.scheduler = "incremental";
           trace.family = request.family;
-          const std::string response = handle_submit(request, trace);
+          item.response = handle_submit(request, trace);
           responses_ok.add();
-          item.response = with_request_id(response, trace.request_id);
           return true;
         }
         if (type->is_string() && type->string == "extend") {
@@ -611,18 +610,16 @@ bool Server::dispatch_payload(ParsedJob& item) {
           trace.kind = "extend";
           trace.scheduler = "incremental";
           trace.family = request.family;
-          const std::string response = handle_extend(request, trace);
+          item.response = handle_extend(request, trace);
           responses_ok.add();
-          item.response = with_request_id(response, trace.request_id);
           return true;
         }
         if (type->is_string() && type->string == "close") {
           const CloseRequest request = parse_close(payload);
           parse_phase.finish();
           trace.kind = "close";
-          const std::string response = handle_close(request, trace);
+          item.response = handle_close(request, trace);
           responses_ok.add();
-          item.response = with_request_id(response, trace.request_id);
           return true;
         }
       }
@@ -647,15 +644,13 @@ bool Server::dispatch_payload(ParsedJob& item) {
     ensure_request_id();
     trace.error_code = e.code();
     count_error(e.code());
-    item.response = with_request_id(error_response(e.code(), e.what()),
-                                    trace.request_id);
+    item.response = error_frame(trace.request_id, e.code(), e.what());
     return true;
   } catch (const std::exception& e) {
     ensure_request_id();
     trace.error_code = kErrBadRequest;
     count_error(kErrBadRequest);
-    item.response = with_request_id(error_response(kErrBadRequest, e.what()),
-                                    trace.request_id);
+    item.response = error_frame(trace.request_id, kErrBadRequest, e.what());
     return true;
   }
 }
@@ -763,23 +758,17 @@ void Server::execute_schedule(ParsedJob& item,
           .counter("serve.family." + request.family + ".requests")
           .add();
     }
-    if (request.certify) {
-      // The hash is a pure function of the canonical bytes, so cached hits
-      // carry the same certificate hash as the original miss.
-      item.response = with_request_id(
-          ok_response(*schedule_json,
-                      analysis::hash_hex(analysis::fnv1a64(*schedule_json))),
-          trace.request_id);
-      return;
-    }
-    item.response =
-        with_request_id(ok_response(*schedule_json), trace.request_id);
+    // The hash is a pure function of the canonical bytes, so cached hits
+    // carry the same certificate hash as the original miss.
+    item.response = ok_frame(
+        trace.request_id, *schedule_json,
+        request.certify ? analysis::hash_hex(analysis::fnv1a64(*schedule_json))
+                        : std::string());
   } catch (const ProtocolError& e) {
     ensure_request_id();
     trace.error_code = e.code();
     count_error(e.code());
-    item.response = with_request_id(error_response(e.code(), e.what()),
-                                    trace.request_id);
+    item.response = error_frame(trace.request_id, e.code(), e.what());
   } catch (const std::exception& e) {
     // Scheduler/cost-model rejections (e.g. invalid core counts for the
     // machine) map to bad-request: the graph/machine combination cannot be
@@ -787,8 +776,7 @@ void Server::execute_schedule(ParsedJob& item,
     ensure_request_id();
     trace.error_code = kErrBadRequest;
     count_error(kErrBadRequest);
-    item.response = with_request_id(error_response(kErrBadRequest, e.what()),
-                                    trace.request_id);
+    item.response = error_frame(trace.request_id, kErrBadRequest, e.what());
   }
 }
 
@@ -814,17 +802,18 @@ std::string Server::handle_submit(const SubmitRequest& request,
   }
   try {
     std::lock_guard<std::mutex> lock(session->mutex);
-    std::string schedule_json;
+    std::string frame;
     {
       ServePhase schedule_phase("serve.schedule[incremental]", phase_schedule,
                                 trace.schedule_us);
       const sched::Schedule& schedule = session->scheduler.reset(
           request.graph, request.total_cores, request.release_time);
-      schedule_json = serialize_schedule(schedule);
+      frame = session_frame(trace.request_id, session_id,
+                            session->scheduler.last_stats(), schedule);
     }
+    session->last_frame_bytes = frame.size();
     submits.add();
-    return session_response(session_id, session->scheduler.last_stats(),
-                            schedule_json);
+    return frame;
   } catch (...) {
     // A failed initial schedule (e.g. the machine rejects the core count)
     // must not leave an unusable session holding a map slot.
@@ -851,14 +840,18 @@ std::string Server::handle_extend(const ExtendRequest& request,
     session = it->second;
   }
   std::lock_guard<std::mutex> lock(session->mutex);
-  std::string schedule_json;
+  std::string frame;
   {
     ServePhase schedule_phase("serve.schedule[incremental]", phase_schedule,
                               trace.schedule_us);
     try {
       const sched::Schedule& schedule =
           session->scheduler.extend(request.delta);
-      schedule_json = serialize_schedule(schedule);
+      // Headroom over the previous frame absorbs this extend's growth.
+      const std::size_t hint =
+          session->last_frame_bytes + session->last_frame_bytes / 8;
+      frame = session_frame(trace.request_id, request.session,
+                            session->scheduler.last_stats(), schedule, hint);
     } catch (const sched::DeltaError& e) {
       // Invalid deltas (range, cycles, non-monotonic releases) leave the
       // session untouched.  Surface them as session errors: the generic
@@ -866,13 +859,13 @@ std::string Server::handle_extend(const ExtendRequest& request,
       throw ProtocolError(kErrSession, e.what());
     }
   }
+  session->last_frame_bytes = frame.size();
   extends.add();
-  return session_response(request.session, session->scheduler.last_stats(),
-                          schedule_json);
+  return frame;
 }
 
 std::string Server::handle_close(const CloseRequest& request,
-                                 RequestTrace& /*trace*/) {
+                                 RequestTrace& trace) {
   static obs::Counter& closes =
       obs::metrics().counter("serve.incremental.closes");
   std::lock_guard<std::mutex> map_lock(sessions_mutex_);
@@ -883,7 +876,7 @@ std::string Server::handle_close(const CloseRequest& request,
   }
   sessions_.erase(it);
   closes.add();
-  return close_response(request.session);
+  return close_frame(trace.request_id, request.session);
 }
 
 std::size_t Server::num_sessions() const {
@@ -900,7 +893,7 @@ std::string Server::mint_session_id() {
   return buf;
 }
 
-std::string Server::render_stats() const {
+void Server::append_stats(std::string& out) const {
   const obs::MetricsRegistry& registry = obs::metrics();
   const std::vector<obs::CounterSample> counters = registry.counters();
   const std::vector<obs::HistogramSample> histograms =
@@ -928,8 +921,7 @@ std::string Server::render_stats() const {
     if (row.name == "serve.latency_us") latency = row;
   }
 
-  std::string out = "{\"ok\":true,\"stats\":{";
-  out += "\"requests\":" + std::to_string(requests);
+  out += ",\"stats\":{\"requests\":" + std::to_string(requests);
   out += ",\"responses_ok\":" + std::to_string(responses_ok);
   out += ",\"truncated\":" + std::to_string(truncated);
   out += ",\"in_flight\":" + std::to_string(in_flight());
@@ -979,7 +971,13 @@ std::string Server::render_stats() const {
     out += ':';
     append_histogram_json(out, histograms[i]);
   }
-  out += "}}}";
+  out += "}}";
+}
+
+std::string Server::render_stats() const {
+  std::string out = "{\"ok\":true";
+  append_stats(out);
+  out += '}';
   return out;
 }
 

@@ -7,6 +7,8 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdlib>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -345,6 +347,66 @@ TEST(Json, RejectsMalformedInput) {
   EXPECT_THROW(json::parse("01x"), std::runtime_error);
   EXPECT_THROW(json::parse("{} trailing"), std::runtime_error);
   EXPECT_THROW(json::parse("tru"), std::runtime_error);
+}
+
+TEST(Json, NestingDeeperThanTheCapIsAnErrorNotACrash) {
+  const auto nested_arrays = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  const auto nested_objects = [](std::size_t depth) {
+    std::string text;
+    for (std::size_t i = 0; i < depth; ++i) text += "{\"a\":";
+    text += "0";
+    text += std::string(depth, '}');
+    return text;
+  };
+  const auto max = static_cast<std::size_t>(json::kMaxDepth);
+  EXPECT_TRUE(json::parse(nested_arrays(max)).is_array());
+  EXPECT_TRUE(json::parse(nested_objects(max)).is_object());
+  EXPECT_THROW(json::parse(nested_arrays(max + 1)), std::runtime_error);
+  EXPECT_THROW(json::parse(nested_objects(max + 1)), std::runtime_error);
+  // 100k levels: the recursion stops at the cap instead of overflowing
+  // the stack, and an unterminated prefix fails the same way.
+  EXPECT_THROW(json::parse(nested_arrays(100'000)), std::runtime_error);
+  EXPECT_THROW(json::parse(std::string(100'000, '[')), std::runtime_error);
+  // Depth is nesting, not count: many shallow siblings stay legal.
+  std::string wide = "[";
+  for (int i = 0; i < 10'000; ++i) wide += i == 0 ? "[[]]" : ",[[]]";
+  wide += ']';
+  EXPECT_EQ(json::parse(wide).array.size(), 10'000u);
+}
+
+TEST(Json, NumbersParseExactlyLikeStrtod) {
+  // Overflow and underflow keep strtod's results: +-inf and (signed) zero
+  // or the nearest subnormal.
+  for (const char* text :
+       {"1e400", "-1e400", "1e-400", "-1e-400", "4.9e-324", "-4.9e-324",
+        "2.4703282292062328e-324", "2.4703282292062327e-324",
+        "2.2250738585072011e-308", "1.7976931348623157e308",
+        "1.7976931348623158e308", "1.7976931348623159e308", "0", "-0",
+        "0.1", "123456789012345678901234567890", "9007199254740993",
+        "1E5", "1e+5", "0.30000000000000004"}) {
+    const json::Value value = json::parse(text);
+    ASSERT_TRUE(value.is_number()) << text;
+    const double expected = std::strtod(text, nullptr);
+    EXPECT_EQ(std::signbit(value.number), std::signbit(expected)) << text;
+    if (std::isnan(expected)) continue;
+    EXPECT_EQ(value.number, expected) << text;
+  }
+  EXPECT_EQ(json::parse("1e400").number,
+            std::numeric_limits<double>::infinity());
+  EXPECT_EQ(json::parse("-1e400").number,
+            -std::numeric_limits<double>::infinity());
+  EXPECT_EQ(json::parse("1e-400").number, 0.0);
+  EXPECT_TRUE(std::signbit(json::parse("-1e-400").number));
+  EXPECT_EQ(json::parse("4.9e-324").number,
+            std::numeric_limits<double>::denorm_min());
+  // Numbers embedded in a document parse the same as standalone ones.
+  const json::Value doc = json::parse("[1e400,-0.5e-3,7]");
+  ASSERT_EQ(doc.array.size(), 3u);
+  EXPECT_TRUE(std::isinf(doc.array[0].number));
+  EXPECT_EQ(doc.array[1].number, -0.5e-3);
+  EXPECT_EQ(doc.array[2].number, 7.0);
 }
 
 // ---- exporters ----

@@ -210,6 +210,11 @@ struct OrderCase {
   std::function<std::unique_ptr<OneStepSolver>()> make;
 };
 
+// Print a case by name. GoogleTest's default byte dump would put the
+// load addresses of `name` and `make` into the CTest test names, which
+// then change from build to build under address-space randomisation.
+void PrintTo(const OrderCase& c, std::ostream* os) { *os << c.name; }
+
 class ConvergenceTest : public ::testing::TestWithParam<OrderCase> {};
 
 TEST_P(ConvergenceTest, ObservedOrderMatchesTheory) {

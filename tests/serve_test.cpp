@@ -11,11 +11,15 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cfloat>
 #include <chrono>
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -118,6 +122,371 @@ TEST(ServeProtocol, FrameHeaderRoundTrips) {
   const std::string big_frame = encode_frame(big);
   std::copy(big_frame.begin(), big_frame.begin() + 4, header);
   EXPECT_EQ(decode_frame_length(header), 300u);
+}
+
+// ---- formatter and frame pinning ----
+//
+// The wire bytes predate the to_chars formatter and the in-place frame
+// writer.  These tests keep the earlier formulations -- snprintf("%.17g"),
+// std::to_string, and encode_frame(with_request_id(...)) over standalone
+// response renderings -- as references the shipping code must match byte
+// for byte.
+
+namespace reference {
+
+void append_double(std::string& out, double value) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.17g", value);
+  out += buf;
+}
+
+void append_int_array(std::string& out, const std::vector<int>& values) {
+  out += '[';
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    if (i != 0) out += ',';
+    out += std::to_string(values[i]);
+  }
+  out += ']';
+}
+
+std::string serialize_schedule(const sched::Schedule& schedule) {
+  std::string out = "{\"strategy\":";
+  append_json_string(out, schedule.strategy);
+  out += ",\"total_cores\":" + std::to_string(schedule.total_cores());
+  out += ",\"makespan\":";
+  append_double(out, schedule.makespan());
+  out += ",\"allocation\":";
+  append_int_array(out, schedule.allocation);
+  out += ",\"contraction\":[";
+  const core::ChainContraction& contraction = schedule.layered.contraction;
+  for (std::size_t c = 0; c < contraction.members.size(); ++c) {
+    if (c != 0) out += ',';
+    append_int_array(out, contraction.members[c]);
+  }
+  out += "],\"slots\":[";
+  for (std::size_t i = 0; i < schedule.gantt.slots.size(); ++i) {
+    if (i != 0) out += ',';
+    const sched::TaskSlot& slot = schedule.gantt.slots[i];
+    out += "{\"cores\":";
+    append_int_array(out, slot.cores);
+    out += ",\"start\":";
+    append_double(out, slot.start);
+    out += ",\"finish\":";
+    append_double(out, slot.finish);
+    out += '}';
+  }
+  out += "],\"layers\":[";
+  for (std::size_t l = 0; l < schedule.layered.layers.size(); ++l) {
+    if (l != 0) out += ',';
+    const sched::ScheduledLayer& layer = schedule.layered.layers[l];
+    out += "{\"tasks\":";
+    append_int_array(out, layer.tasks);
+    out += ",\"group_sizes\":";
+    append_int_array(out, layer.group_sizes);
+    out += ",\"task_group\":";
+    append_int_array(out, layer.task_group);
+    out += ",\"predicted_time\":";
+    append_double(out, layer.predicted_time);
+    out += '}';
+  }
+  out += "]}";
+  return out;
+}
+
+std::string ok_response(std::string_view schedule_json) {
+  return "{\"ok\":true,\"schedule\":" + std::string(schedule_json) + '}';
+}
+
+std::string ok_response(std::string_view schedule_json,
+                        std::string_view certificate_hash) {
+  std::string out = "{\"ok\":true,\"schedule\":" + std::string(schedule_json);
+  out += ",\"certificate_hash\":";
+  append_json_string(out, certificate_hash);
+  out += '}';
+  return out;
+}
+
+std::string session_response(std::string_view session_id,
+                             const sched::RepairStats& stats,
+                             std::string_view schedule_json) {
+  std::string out = "{\"ok\":true,\"session\":";
+  append_json_string(out, session_id);
+  out += ",\"incremental\":{\"total_layers\":" +
+         std::to_string(stats.total_layers);
+  out += ",\"layers_reused\":" + std::to_string(stats.layers_reused);
+  out += ",\"layers_scheduled\":" + std::to_string(stats.layers_scheduled);
+  out += ",\"settled_prefix\":" + std::to_string(stats.settled_prefix) + '}';
+  out += ",\"schedule\":";
+  out += schedule_json;
+  out += '}';
+  return out;
+}
+
+std::string close_response(std::string_view session_id) {
+  std::string out = "{\"ok\":true,\"session\":";
+  append_json_string(out, session_id);
+  out += ",\"closed\":true}";
+  return out;
+}
+
+std::string error_response(std::string_view code, std::string_view message) {
+  std::string out = "{\"ok\":false,\"error\":{\"code\":";
+  append_json_string(out, code);
+  out += ",\"message\":";
+  append_json_string(out, message);
+  out += "}}";
+  return out;
+}
+
+std::string overload_response(std::string_view message,
+                              std::uint64_t retry_after_ms) {
+  std::string out = "{\"ok\":false,\"error\":{\"code\":";
+  append_json_string(out, kErrOverloaded);
+  out += ",\"message\":";
+  append_json_string(out, message);
+  out += ",\"retry_after_ms\":" + std::to_string(retry_after_ms);
+  out += "}}";
+  return out;
+}
+
+std::string pong_response() { return "{\"ok\":true,\"pong\":true}"; }
+
+std::string metrics_response(std::string_view exposition) {
+  std::string out = "{\"ok\":true,\"metrics\":";
+  append_json_string(out, exposition);
+  out += '}';
+  return out;
+}
+
+std::string trace_response(std::string_view trace_object) {
+  return "{\"ok\":true,\"trace\":" + std::string(trace_object) + '}';
+}
+
+std::string with_request_id(std::string_view response, std::string_view id) {
+  constexpr std::string_view kOk = "{\"ok\":true";
+  constexpr std::string_view kErr = "{\"ok\":false";
+  std::size_t pos = 0;
+  if (response.substr(0, kOk.size()) == kOk) {
+    pos = kOk.size();
+  } else if (response.substr(0, kErr.size()) == kErr) {
+    pos = kErr.size();
+  } else {
+    return std::string(response);
+  }
+  std::string out(response.substr(0, pos));
+  out += ",\"request_id\":";
+  append_json_string(out, id);
+  out += response.substr(pos);
+  return out;
+}
+
+/// The frame the server sent before in-place framing: the id spliced in
+/// after "ok" (responses without an id went out unspliced), then framed.
+std::string frame(std::string_view response, std::string_view id) {
+  return encode_frame(id.empty() ? std::string(response)
+                                 : with_request_id(response, id));
+}
+
+}  // namespace reference
+
+double double_from_bits(std::uint64_t bits) {
+  double value = 0.0;
+  std::memcpy(&value, &bits, sizeof(value));
+  return value;
+}
+
+std::uint64_t bits_of(double value) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
+}
+
+/// Hand-picked doubles where "%.17g" is easiest to get wrong, each with
+/// its sign flipped and its neighbours one ULP away.
+std::vector<double> formatter_edge_values() {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> seeds = {
+      0.0, std::numeric_limits<double>::denorm_min(),
+      3 * std::numeric_limits<double>::denorm_min(),
+      DBL_MIN / 3, DBL_MIN / 2, DBL_MIN, DBL_MAX, DBL_EPSILON,
+      // %g's switch between fixed and exponent notation.
+      1e-5, 1e-4, 9.9999999999999991e-5, 1e16, 1e17, 1e18,
+      99999999999999984.0, 1e16 - 2, 0.1, 1.0 / 3.0, 1.5, 100.0,
+      // Integers past 2^53, where not every integer is representable.
+      9007199254740992.0, 9007199254740994.0, 18014398509481988.0,
+      9223372036854775808.0, 1.8446744073709552e19, 1e300, 123456789012345678.0,
+      inf, nan};
+  std::vector<double> values;
+  for (const double seed : seeds) {
+    for (const double v : {seed, -seed}) {
+      values.push_back(v);
+      if (std::isfinite(v)) {
+        values.push_back(std::nextafter(v, inf));
+        values.push_back(std::nextafter(v, -inf));
+      }
+    }
+  }
+  return values;
+}
+
+TEST(ServeProtocol, JsonDoubleMatchesPrintfOnEdgeValues) {
+  for (const double value : formatter_edge_values()) {
+    std::string expected;
+    reference::append_double(expected, value);
+    std::string actual;
+    append_json_double(actual, value);
+    EXPECT_EQ(actual, expected) << "bits 0x" << std::hex << bits_of(value);
+  }
+}
+
+TEST(ServeProtocol, JsonDoubleMatchesPrintfOnRandomBitPatterns) {
+  // Every bit pattern is a double: NaNs with payloads and either sign,
+  // subnormals, and the full exponent range all appear.
+  fuzz::Rng rng(0x5eed'f0a7'0000'0012ull);
+  std::size_t mismatches = 0;
+  std::string expected;
+  std::string actual;
+  for (int i = 0; i < 1'000'000; ++i) {
+    const double value = double_from_bits(rng.next());
+    expected.clear();
+    actual.clear();
+    reference::append_double(expected, value);
+    append_json_double(actual, value);
+    if (actual != expected && ++mismatches <= 5) {
+      ADD_FAILURE() << "bits 0x" << std::hex << bits_of(value) << ": "
+                    << actual << " != " << expected;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(ServeProtocol, JsonDoubleRoundTripsThroughTheParser) {
+  // The request parser must read back exactly what the formatter wrote:
+  // that is what makes parse -> serialize canonical.
+  std::vector<double> values = formatter_edge_values();
+  fuzz::Rng rng(0x0d0b'1e00'0000'0012ull);
+  while (values.size() < 200'000) {
+    values.push_back(double_from_bits(rng.next()));
+  }
+  std::size_t checked = 0;
+  for (const double value : values) {
+    if (!std::isfinite(value)) continue;  // JSON has no inf/nan literal
+    std::string text;
+    reference::append_double(text, value);
+    const obs::json::Value parsed = obs::json::parse(text);
+    ASSERT_TRUE(parsed.is_number()) << text;
+    EXPECT_EQ(bits_of(parsed.number), bits_of(value)) << text;
+    ++checked;
+  }
+  EXPECT_GT(checked, 100'000u);
+}
+
+TEST(ServeProtocol, IntegersMatchToString) {
+  for (const long long value :
+       {0ll, 1ll, -1ll, 9ll, 10ll, static_cast<long long>(INT_MIN),
+        static_cast<long long>(INT_MAX), LLONG_MIN, LLONG_MAX}) {
+    std::string actual;
+    append_json_int(actual, value);
+    EXPECT_EQ(actual, std::to_string(value));
+  }
+  std::string actual;
+  append_json_int(actual, std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(actual,
+            std::to_string(std::numeric_limits<std::uint64_t>::max()));
+}
+
+TEST(ServeProtocol, ScheduleSerializationMatchesTheReferenceFormatter) {
+  // A handmade schedule with the integer extremes and empty arrays in
+  // every array-valued member.
+  sched::Schedule edge;
+  edge.strategy = "edge\"case";
+  edge.gantt.total_cores = INT_MAX;
+  edge.gantt.makespan = DBL_MAX;
+  edge.allocation = {INT_MIN, INT_MAX, 0, -1};
+  edge.layered.contraction.members = {{}, {INT_MIN}, {0, INT_MAX}};
+  edge.gantt.slots.push_back(sched::TaskSlot{{}, -0.0, 1e-5});
+  edge.gantt.slots.push_back(
+      sched::TaskSlot{{INT_MIN, 0, INT_MAX}, DBL_MIN, 1e17});
+  sched::ScheduledLayer layer;
+  layer.predicted_time = std::numeric_limits<double>::denorm_min();
+  edge.layered.layers.push_back(layer);
+  layer.tasks = {0, INT_MAX};
+  layer.group_sizes = {INT_MIN};
+  layer.task_group = {0, 0};
+  layer.predicted_time = 1e16;
+  edge.layered.layers.push_back(layer);
+  EXPECT_EQ(serialize_schedule(edge), reference::serialize_schedule(edge));
+
+  sched::Schedule empty;
+  EXPECT_EQ(serialize_schedule(empty), reference::serialize_schedule(empty));
+
+  // Real schedules of every fuzz family, layered and not.
+  for (const std::uint64_t seed : {3ull, 4ull, 5ull, 6ull, 7ull}) {
+    const fuzz::Instance instance = fuzz::random_instance(seed);
+    for (const std::string scheduler : {"layer", "cpa"}) {
+      const cost::CostModel cost{arch::Machine(instance.machine)};
+      const sched::Schedule schedule =
+          sched::SchedulerRegistry::instance()
+              .make(scheduler, cost)
+              ->run(instance.graph, instance.total_cores);
+      EXPECT_EQ(serialize_schedule(schedule),
+                reference::serialize_schedule(schedule))
+          << instance.name << " " << scheduler;
+    }
+  }
+}
+
+TEST(ServeProtocol, InPlaceFramesMatchTheSplicedReference) {
+  const ScheduleRequest request = tiny_request();
+  const cost::CostModel cost{arch::Machine(request.machine)};
+  sched::IncrementalScheduler incremental(cost);
+  const sched::Schedule& schedule =
+      incremental.reset(request.graph, request.total_cores, 0.0);
+  const sched::RepairStats stats = incremental.last_stats();
+  const std::string body = serialize_schedule(schedule);
+  const std::string hash = analysis::hash_hex(analysis::fnv1a64(body));
+  const std::string session = "sess-0000beef-7";
+  const std::string message = "bad \"input\"\n\tat byte 3";
+
+  // No id, a server-minted id, and a client id that needs escaping.
+  for (const std::string& id :
+       {std::string(), std::string("s-1234abcd-42"),
+        std::string("client \"id\"\\\n\x01")}) {
+    SCOPED_TRACE("request id '" + id + "'");
+    EXPECT_EQ(ok_frame(id, body),
+              reference::frame(reference::ok_response(body), id));
+    EXPECT_EQ(ok_frame(id, body, hash),
+              reference::frame(reference::ok_response(body, hash), id));
+    for (const std::size_t hint : {std::size_t{0}, std::size_t{16},
+                                   body.size() * 4}) {
+      EXPECT_EQ(session_frame(id, session, stats, schedule, hint),
+                reference::frame(
+                    reference::session_response(session, stats, body), id));
+    }
+    EXPECT_EQ(close_frame(id, session),
+              reference::frame(reference::close_response(session), id));
+    EXPECT_EQ(error_frame(id, kErrBadRequest, message),
+              reference::frame(
+                  reference::error_response(kErrBadRequest, message), id));
+    EXPECT_EQ(overload_frame(id, message, 25),
+              reference::frame(reference::overload_response(message, 25),
+                               id));
+    EXPECT_EQ(pong_frame(id),
+              reference::frame(reference::pong_response(), id));
+    EXPECT_EQ(metrics_frame(id, "# TYPE x counter\nx_total 1\n"),
+              reference::frame(reference::metrics_response(
+                                   "# TYPE x counter\nx_total 1\n"),
+                               id));
+    EXPECT_EQ(trace_frame(id, "{\"traceEvents\":[]}"),
+              reference::frame(
+                  reference::trace_response("{\"traceEvents\":[]}"), id));
+  }
+  // The unframed renderings that remain public are the same bytes.
+  EXPECT_EQ(ok_response(body), reference::ok_response(body));
+  EXPECT_EQ(ok_response(body, hash), reference::ok_response(body, hash));
+  EXPECT_EQ(session_response(session, stats, body),
+            reference::session_response(session, stats, body));
 }
 
 // ---- request serialization / parsing ----
@@ -240,6 +609,20 @@ TEST_F(ServeTest, Pts001MalformedJson) {
   EXPECT_FALSE(response_ok(response));
   EXPECT_EQ(response_error_code(response), kErrMalformedJson);
   EXPECT_EQ(error_counter(kErrMalformedJson), before + 1);
+}
+
+TEST_F(ServeTest, Pts001DeeplyNestedPayloadKeepsTheServerUp) {
+  // 100k nesting levels once overflowed the recursive-descent parser's
+  // stack and killed the daemon; the depth cap turns them into PTS001.
+  const std::uint64_t before = error_counter(kErrMalformedJson);
+  const std::string nested =
+      std::string(100'000, '[') + std::string(100'000, ']');
+  const std::string response = client_.call(nested);
+  EXPECT_EQ(response_error_code(response), kErrMalformedJson);
+  EXPECT_EQ(error_counter(kErrMalformedJson), before + 1);
+  // The same connection keeps being served.
+  EXPECT_TRUE(response_ok(client_.call("{\"type\":\"ping\"}")));
+  EXPECT_TRUE(response_ok(client_.call(serialize_request(tiny_request()))));
 }
 
 TEST_F(ServeTest, Pts001NegativeValidJsonIsNotMalformed) {
