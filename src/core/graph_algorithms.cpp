@@ -13,6 +13,48 @@ bool chainable(const TaskGraph& g, TaskId u, TaskId v) {
          !g.task(v).is_marker();
 }
 
+/// A task heads a chain unless its unique predecessor chains into it.
+bool is_chain_head(const TaskGraph& g, TaskId v) {
+  return g.in_degree(v) != 1 || !chainable(g, g.predecessors(v).front(), v);
+}
+
+/// The maximal chain starting at `head`, in chain order.
+std::vector<TaskId> walk_chain(const TaskGraph& g, TaskId head) {
+  std::vector<TaskId> chain{head};
+  TaskId cur = head;
+  while (g.out_degree(cur) == 1) {
+    const TaskId next = g.successors(cur).front();
+    if (!chainable(g, cur, next)) break;
+    chain.push_back(next);
+    cur = next;
+  }
+  return chain;
+}
+
+/// Records `chain` as contracted node members.size() -- pointing its
+/// members' representatives at it -- and returns the node's merged task.
+MTask add_chain(const TaskGraph& g, std::vector<TaskId> chain,
+                ChainContraction& result) {
+  MTask merged = g.task(chain.front());
+  if (chain.size() > 1) {
+    merged.set_name("chain(" + g.task(chain.front()).name() + ".." +
+                    g.task(chain.back()).name() + ")");
+    for (std::size_t i = 1; i < chain.size(); ++i) {
+      const MTask& t = g.task(chain[i]);
+      merged.add_work_flop(t.work_flop());
+      for (const CollectiveOp& op : t.comms()) merged.add_comm(op);
+      for (const Param& p : t.params()) merged.add_param(p);
+      merged.set_max_cores(std::min(merged.max_cores(), t.max_cores()));
+    }
+  }
+  const auto c = static_cast<TaskId>(result.members.size());
+  for (TaskId member : chain) {
+    result.representative[static_cast<std::size_t>(member)] = c;
+  }
+  result.members.push_back(std::move(chain));
+  return merged;
+}
+
 }  // namespace
 
 ChainContraction contract_linear_chains(const TaskGraph& graph) {
@@ -20,44 +62,11 @@ ChainContraction contract_linear_chains(const TaskGraph& graph) {
   ChainContraction result;
   result.representative.assign(static_cast<std::size_t>(n), kInvalidTask);
 
-  // Identify chain heads: a task is a head unless its unique predecessor
-  // chains into it.
-  std::vector<bool> is_head(static_cast<std::size_t>(n), true);
-  for (TaskId u = 0; u < n; ++u) {
-    if (graph.out_degree(u) == 1) {
-      const TaskId v = graph.successors(u).front();
-      if (chainable(graph, u, v)) is_head[static_cast<std::size_t>(v)] = false;
-    }
-  }
-
   // Walk every chain from its head and create the contracted node.
   for (TaskId head = 0; head < n; ++head) {
-    if (!is_head[static_cast<std::size_t>(head)]) continue;
-    std::vector<TaskId> chain{head};
-    TaskId cur = head;
-    while (graph.out_degree(cur) == 1) {
-      const TaskId next = graph.successors(cur).front();
-      if (!chainable(graph, cur, next)) break;
-      chain.push_back(next);
-      cur = next;
-    }
-
-    MTask merged = graph.task(head);
-    if (chain.size() > 1) {
-      merged.set_name("chain(" + graph.task(chain.front()).name() + ".." +
-                      graph.task(chain.back()).name() + ")");
-      for (std::size_t i = 1; i < chain.size(); ++i) {
-        const MTask& t = graph.task(chain[i]);
-        merged.add_work_flop(t.work_flop());
-        for (const CollectiveOp& op : t.comms()) merged.add_comm(op);
-        for (const Param& p : t.params()) merged.add_param(p);
-        merged.set_max_cores(std::min(merged.max_cores(), t.max_cores()));
-      }
-    }
-    const TaskId c = result.contracted.add_task(std::move(merged));
-    result.members.push_back(chain);
-    for (TaskId member : chain) {
-      result.representative[static_cast<std::size_t>(member)] = c;
+    if (is_chain_head(graph, head)) {
+      result.contracted.add_task(
+          add_chain(graph, walk_chain(graph, head), result));
     }
   }
 
@@ -76,6 +85,94 @@ ChainContraction contract_linear_chains(const TaskGraph& graph) {
   }
   result.contracted.add_edges(edges);
   return result;
+}
+
+bool extend_linear_chains(
+    ChainContraction& contraction, const TaskGraph& graph, int old_num_tasks,
+    const std::vector<std::pair<TaskId, TaskId>>& fresh_edges) {
+  std::vector<TaskId>& rep = contraction.representative;
+  const bool fast =
+      old_num_tasks >= 0 && old_num_tasks <= graph.num_tasks() &&
+      rep.size() == static_cast<std::size_t>(old_num_tasks) &&
+      std::all_of(fresh_edges.begin(), fresh_edges.end(), [&](const auto& e) {
+        return e.second >= old_num_tasks;
+      });
+  if (!fast) {
+    contraction = contract_linear_chains(graph);
+    return false;
+  }
+
+  // With every fresh edge ending at a new task, old in-degrees are fixed
+  // and old out-degrees only grow at fresh sources.  So an old chain can
+  // only change where it holds a fresh source: it may grow past its tail,
+  // or split after the source, whose old chain successor becomes a head.
+  // Every other old chain keeps its members.  `first` is the smallest head
+  // of a changed chain or of a chain a split starts; chains with smaller
+  // heads are untouched, and since contracted ids follow head order they
+  // keep their ids too.
+  std::vector<std::vector<TaskId>>& members = contraction.members;
+  TaskId first = old_num_tasks;
+  for (const auto& [from, to] : fresh_edges) {
+    if (from >= old_num_tasks) continue;
+    const std::vector<TaskId>& chain =
+        members[static_cast<std::size_t>(rep[static_cast<std::size_t>(from)])];
+    first = std::min(first, chain.front());
+    const auto at = std::find(chain.begin(), chain.end(), from);
+    if (at + 1 != chain.end()) first = std::min(first, *(at + 1));
+  }
+  const auto keep = static_cast<std::size_t>(
+      std::partition_point(members.begin(), members.end(),
+                           [&](const std::vector<TaskId>& chain) {
+                             return chain.front() < first;
+                           }) -
+      members.begin());
+
+  // Contracted nodes from `keep` on are replaced.  A kept node's entry that
+  // names one is remapped through the old node's head (succ entries) or
+  // tail (pred entries): both stay a head / tail of the grown graph.
+  std::vector<TaskId> old_head;
+  std::vector<TaskId> old_tail;
+  for (std::size_t c = keep; c < members.size(); ++c) {
+    old_head.push_back(members[c].front());
+    old_tail.push_back(members[c].back());
+  }
+  members.resize(keep);
+
+  // Re-walk every chain whose head is `first` or later, in head order.
+  rep.resize(static_cast<std::size_t>(graph.num_tasks()), kInvalidTask);
+  std::vector<MTask> tasks;
+  for (TaskId head = first; head < graph.num_tasks(); ++head) {
+    if (is_chain_head(graph, head)) {
+      tasks.push_back(add_chain(graph, walk_chain(graph, head), contraction));
+    }
+  }
+  std::vector<TaskId> succ_remap;
+  std::vector<TaskId> pred_remap;
+  for (std::size_t i = 0; i < old_head.size(); ++i) {
+    succ_remap.push_back(rep[static_cast<std::size_t>(old_head[i])]);
+    pred_remap.push_back(rep[static_cast<std::size_t>(old_tail[i])]);
+  }
+
+  // Rebuilt nodes: only a chain's tail has edges leaving the chain, and
+  // they all end at heads of distinct chains; only its head has entering
+  // ones, all from tails.  contract_linear_chains enumerates edges by
+  // ascending source, so succ follows the tail's successor order and pred
+  // the ascending tail ids.
+  std::vector<std::vector<TaskId>> succ(tasks.size());
+  std::vector<std::vector<TaskId>> pred(tasks.size());
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    const std::vector<TaskId>& chain = members[keep + i];
+    for (TaskId s : graph.successors(chain.back())) {
+      succ[i].push_back(rep[static_cast<std::size_t>(s)]);
+    }
+    pred[i] = graph.predecessors(chain.front());
+    std::sort(pred[i].begin(), pred[i].end());
+    for (TaskId& p : pred[i]) p = rep[static_cast<std::size_t>(p)];
+  }
+  contraction.contracted.replace_suffix(static_cast<int>(keep), succ_remap,
+                                        pred_remap, std::move(tasks),
+                                        std::move(succ), std::move(pred));
+  return true;
 }
 
 ChainContraction identity_contraction(const TaskGraph& graph) {

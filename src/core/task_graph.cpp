@@ -5,6 +5,7 @@
 #include <queue>
 #include <sstream>
 #include <stdexcept>
+#include <unordered_map>
 
 namespace ptask::core {
 
@@ -34,8 +35,10 @@ void TaskGraph::add_edge(TaskId from, TaskId to) {
   ++num_edges_;
 }
 
-void TaskGraph::add_edges(const std::vector<std::pair<TaskId, TaskId>>& edges) {
-  if (edges.empty()) return;
+std::vector<std::pair<TaskId, TaskId>> TaskGraph::add_edges(
+    const std::vector<std::pair<TaskId, TaskId>>& edges) {
+  std::vector<std::pair<TaskId, TaskId>> fresh;
+  if (edges.empty()) return fresh;
   const std::size_t n = tasks_.size();
 
   // Validate ranges / self edges and drop duplicates before touching any
@@ -55,7 +58,6 @@ void TaskGraph::add_edges(const std::vector<std::pair<TaskId, TaskId>>& edges) {
   std::vector<TaskId> overlay(edges.size());
   std::vector<std::uint32_t> filled(n, 0);
   std::vector<std::uint32_t> in_added(n, 0);
-  std::vector<std::pair<TaskId, TaskId>> fresh;
   fresh.reserve(edges.size());
   for (const auto& [from, to] : edges) {
     if (has_edge(from, to)) continue;
@@ -68,7 +70,7 @@ void TaskGraph::add_edges(const std::vector<std::pair<TaskId, TaskId>>& edges) {
     ++in_added[static_cast<std::size_t>(to)];
     fresh.push_back({from, to});
   }
-  if (fresh.empty()) return;
+  if (fresh.empty()) return fresh;
 
   // One Kahn pass over the overlay graph (existing adjacency + the batch):
   // every node drains iff the combined edge set is acyclic.
@@ -110,6 +112,147 @@ void TaskGraph::add_edges(const std::vector<std::pair<TaskId, TaskId>>& edges) {
     succ_[static_cast<std::size_t>(from)].push_back(to);
     pred_[static_cast<std::size_t>(to)].push_back(from);
     ++num_edges_;
+  }
+  return fresh;
+}
+
+void TaskGraph::roll_back(
+    int num_tasks, const std::vector<std::pair<TaskId, TaskId>>& fresh_edges) {
+  if (num_tasks < 0 || num_tasks > this->num_tasks()) {
+    throw std::out_of_range("roll_back past the task count");
+  }
+  // Check the whole precondition before changing anything, in O(edges +
+  // dropped tasks' degrees): taken in reverse, each edge must be the last
+  // entry of both its lists once the later ones are popped, and afterwards
+  // no edge may join a kept task to a dropped one.
+  std::unordered_map<TaskId, std::size_t> succ_popped;
+  std::unordered_map<TaskId, std::size_t> pred_popped;
+  for (auto it = fresh_edges.rbegin(); it != fresh_edges.rend(); ++it) {
+    const auto [from, to] = *it;
+    check_id(from);
+    check_id(to);
+    const std::vector<TaskId>& succ = succ_[static_cast<std::size_t>(from)];
+    const std::vector<TaskId>& pred = pred_[static_cast<std::size_t>(to)];
+    std::size_t& succ_gone = succ_popped[from];
+    std::size_t& pred_gone = pred_popped[to];
+    if (succ_gone >= succ.size() || succ[succ.size() - 1 - succ_gone] != to ||
+        pred_gone >= pred.size() || pred[pred.size() - 1 - pred_gone] != from) {
+      throw std::logic_error("roll_back: edge is not a latest insertion");
+    }
+    ++succ_gone;
+    ++pred_gone;
+  }
+  const auto joins_kept = [&](const std::vector<TaskId>& adjacency,
+                              std::size_t popped) {
+    return std::any_of(adjacency.begin(),
+                       adjacency.end() - static_cast<std::ptrdiff_t>(popped),
+                       [&](TaskId other) { return other < num_tasks; });
+  };
+  for (TaskId id = num_tasks; id < this->num_tasks(); ++id) {
+    const auto succ_it = succ_popped.find(id);
+    const auto pred_it = pred_popped.find(id);
+    if (joins_kept(succ_[static_cast<std::size_t>(id)],
+                   succ_it == succ_popped.end() ? 0 : succ_it->second) ||
+        joins_kept(pred_[static_cast<std::size_t>(id)],
+                   pred_it == pred_popped.end() ? 0 : pred_it->second)) {
+      throw std::logic_error(
+          "roll_back: an edge joins a kept and a dropped task");
+    }
+  }
+
+  for (auto it = fresh_edges.rbegin(); it != fresh_edges.rend(); ++it) {
+    succ_[static_cast<std::size_t>(it->first)].pop_back();
+    pred_[static_cast<std::size_t>(it->second)].pop_back();
+    --num_edges_;
+  }
+  const auto keep = static_cast<std::ptrdiff_t>(num_tasks);
+  tasks_.erase(tasks_.begin() + keep, tasks_.end());
+  succ_.erase(succ_.begin() + keep, succ_.end());
+  pred_.erase(pred_.begin() + keep, pred_.end());
+}
+
+void TaskGraph::replace_suffix(int keep, const std::vector<TaskId>& succ_remap,
+                               const std::vector<TaskId>& pred_remap,
+                               std::vector<MTask> tasks,
+                               std::vector<std::vector<TaskId>> succ,
+                               std::vector<std::vector<TaskId>> pred) {
+  const auto k = static_cast<std::size_t>(keep);
+  if (keep < 0 || k > tasks_.size() ||
+      succ_remap.size() != tasks_.size() - k ||
+      pred_remap.size() != tasks_.size() - k || succ.size() != tasks.size() ||
+      pred.size() != tasks.size()) {
+    throw std::logic_error("replace_suffix: sizes disagree");
+  }
+  const auto end = static_cast<TaskId>(k + tasks.size());
+
+  // The kept tasks that name a replaced one are its kept neighbours.
+  std::vector<TaskId> touched;
+  for (std::size_t c = k; c < tasks_.size(); ++c) {
+    for (TaskId p : pred_[c]) {
+      if (p < keep) touched.push_back(p);
+    }
+    for (TaskId s : succ_[c]) {
+      if (s < keep) touched.push_back(s);
+    }
+  }
+  std::sort(touched.begin(), touched.end());
+  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
+
+  // Every edge touching a new task, read once from the successor lists and
+  // once from the predecessor lists: the two readings must agree.
+  std::vector<std::pair<TaskId, TaskId>> by_succ;
+  std::vector<std::pair<TaskId, TaskId>> by_pred;
+  bool in_range = true;
+  const auto remapped = [&](const std::vector<TaskId>& remap, TaskId x) {
+    const TaskId y = remap[static_cast<std::size_t>(x) - k];
+    in_range = in_range && y >= keep && y < end;
+    return y;
+  };
+  for (TaskId u : touched) {
+    for (TaskId s : succ_[static_cast<std::size_t>(u)]) {
+      if (s >= keep) by_succ.push_back({u, remapped(succ_remap, s)});
+    }
+    for (TaskId p : pred_[static_cast<std::size_t>(u)]) {
+      if (p >= keep) by_pred.push_back({remapped(pred_remap, p), u});
+    }
+  }
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    const auto c = static_cast<TaskId>(k + i);
+    for (TaskId s : succ[i]) {
+      in_range = in_range && s >= 0 && s < end;
+      by_succ.push_back({c, s});
+    }
+    for (TaskId p : pred[i]) {
+      in_range = in_range && p >= 0 && p < end;
+      by_pred.push_back({p, c});
+    }
+  }
+  std::sort(by_succ.begin(), by_succ.end());
+  std::sort(by_pred.begin(), by_pred.end());
+  if (!in_range || by_succ != by_pred) {
+    throw std::logic_error(
+        "replace_suffix: successor and predecessor lists disagree");
+  }
+
+  for (std::size_t c = k; c < tasks_.size(); ++c) {
+    num_edges_ -= static_cast<int>(succ_[c].size());
+  }
+  tasks_.resize(k);
+  succ_.resize(k);
+  pred_.resize(k);
+  for (TaskId u : touched) {
+    for (TaskId& s : succ_[static_cast<std::size_t>(u)]) {
+      if (s >= keep) s = succ_remap[static_cast<std::size_t>(s) - k];
+    }
+    for (TaskId& p : pred_[static_cast<std::size_t>(u)]) {
+      if (p >= keep) p = pred_remap[static_cast<std::size_t>(p) - k];
+    }
+  }
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    num_edges_ += static_cast<int>(succ[i].size());
+    tasks_.push_back(std::move(tasks[i]));
+    succ_.push_back(std::move(succ[i]));
+    pred_.push_back(std::move(pred[i]));
   }
 }
 

@@ -31,6 +31,22 @@ struct ChainContraction {
 /// the chain.  Marker tasks never participate in chains.
 ChainContraction contract_linear_chains(const TaskGraph& graph);
 
+/// Extends `contraction`, the chain contraction of `graph`'s first
+/// `old_num_tasks` tasks before `fresh_edges` (as TaskGraph::add_edges
+/// returned them) were inserted, to the contraction of the grown `graph`.
+/// The result equals contract_linear_chains(graph) exactly: members,
+/// representatives, merged tasks, adjacency order and edge count.
+///
+/// When every fresh edge ends at a new task (the online-arrival model),
+/// only the chains from the smallest head a fresh source can change are
+/// re-walked; the cost follows that suffix and its neighbourhood, not the
+/// graph.  Otherwise -- an edge into an old task can split any chain -- it
+/// falls back to a full contract_linear_chains.  Returns true on the fast
+/// path, false on the fallback.
+bool extend_linear_chains(
+    ChainContraction& contraction, const TaskGraph& graph, int old_num_tasks,
+    const std::vector<std::pair<TaskId, TaskId>>& fresh_edges);
+
 /// The identity contraction: every task is its own (singleton) chain.  Used
 /// by schedulers that skip chain contraction but still produce results in
 /// the contracted-id index space.

@@ -12,6 +12,8 @@
 
 namespace ptask::core {
 
+struct ChainContraction;
+
 /// Directed acyclic graph of M-tasks.
 ///
 /// Node identity is the insertion index (`TaskId`).  The class maintains
@@ -29,14 +31,27 @@ class TaskGraph {
   void add_edge(TaskId from, TaskId to);
 
   /// Adds a batch of edges atomically: the whole batch is validated first
-  /// (ids in range, no self edges, no cycle through existing + new edges via
-  /// one Kahn pass over the overlay) and applied only when every edge is
-  /// acceptable.  On std::invalid_argument the graph is unchanged -- the
-  /// all-or-nothing contract incremental graph deltas rely on.  Duplicate
-  /// edges (against the graph or inside the batch) are ignored.  This is
-  /// also asymptotically cheaper than per-edge add_edge for large batches:
-  /// one O(V + E) cycle check instead of one reachability walk per edge.
-  void add_edges(const std::vector<std::pair<TaskId, TaskId>>& edges);
+  /// (ids in range, no self edges, no cycle through existing + new edges)
+  /// and applied only when every edge is acceptable.  On
+  /// std::invalid_argument the graph is unchanged -- the all-or-nothing
+  /// contract incremental graph deltas rely on.  Duplicate edges (against
+  /// the graph or inside the batch) are ignored.  Returns the edges actually
+  /// inserted, in batch order; each is the last entry of its endpoints'
+  /// adjacency lists until further edges arrive (see roll_back).
+  /// This is also asymptotically cheaper than per-edge add_edge for large
+  /// batches: one O(V + E) Kahn pass over the overlay instead of one
+  /// reachability walk per edge.
+  std::vector<std::pair<TaskId, TaskId>> add_edges(
+      const std::vector<std::pair<TaskId, TaskId>>& edges);
+
+  /// Undoes a growth step: removes `fresh_edges` -- the most recent
+  /// insertions, as add_edges returned them -- in reverse, then drops every
+  /// task with id >= `num_tasks`.  No edge may join the kept tasks to the
+  /// dropped ones except those in `fresh_edges`.  The precondition is
+  /// checked first: on std::logic_error (an edge that is not a latest
+  /// insertion, or a kept/dropped edge left over) the graph is unchanged.
+  void roll_back(int num_tasks,
+                 const std::vector<std::pair<TaskId, TaskId>>& fresh_edges);
 
   int num_tasks() const { return static_cast<int>(tasks_.size()); }
   int num_edges() const { return num_edges_; }
@@ -75,6 +90,26 @@ class TaskGraph {
   std::string to_dot(const std::string& graph_name = "mtask_graph") const;
 
  private:
+  // Extends a contraction's graph in place through replace_suffix.
+  friend bool extend_linear_chains(
+      ChainContraction& contraction, const TaskGraph& graph,
+      int old_num_tasks,
+      const std::vector<std::pair<TaskId, TaskId>>& fresh_edges);
+
+  /// Replaces every task from `keep` on by `tasks`, whose adjacency is
+  /// `succ` / `pred`.  A kept task's entry that named a replaced task x is
+  /// rewritten in place to succ_remap[x - keep] in successor lists and to
+  /// pred_remap[x - keep] in predecessor lists.  The edge count follows the
+  /// lists.  Checked first, leaving the graph unchanged on
+  /// std::logic_error: sizes agree, ids are in range, and every edge that
+  /// touches a new task is listed in both its successor and its predecessor
+  /// list.  Acyclicity is the caller's to keep.
+  void replace_suffix(int keep, const std::vector<TaskId>& succ_remap,
+                      const std::vector<TaskId>& pred_remap,
+                      std::vector<MTask> tasks,
+                      std::vector<std::vector<TaskId>> succ,
+                      std::vector<std::vector<TaskId>> pred);
+
   void check_id(TaskId id) const;
 
   std::vector<MTask> tasks_;

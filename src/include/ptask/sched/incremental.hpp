@@ -94,8 +94,11 @@ class IncrementalScheduler final : public Scheduler {
 
   /// Applies one arrival batch and repairs the schedule locally.  Returns
   /// the spliced schedule -- bit-identical (serve::serialize_schedule) to a
-  /// full re-schedule of the accumulated graph.  Throws DeltaError and
-  /// leaves all state untouched when the delta is invalid.
+  /// full re-schedule of the accumulated graph.  The graph grows in place,
+  /// and its chain contraction is extended rather than rebuilt.  Throws
+  /// DeltaError when the delta is invalid, and passes on any exception of
+  /// the repair itself (e.g. the cost model's); either way all state is
+  /// left untouched.
   const Schedule& extend(const GraphDelta& delta);
 
   bool has_schedule() const { return has_schedule_; }

@@ -21,6 +21,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "ptask/sched/layer_scheduler.hpp"
@@ -90,6 +91,15 @@ struct PassContext {
   /// Pipeline::run_with_context rewrites it from the new result, so the
   /// context can be re-run after each graph delta.
   std::vector<LayerMemoEntry> memo;
+
+  /// In-place growth (IncrementalScheduler::extend): when >= 0, the graph
+  /// grew from its first `grown_from` tasks by `fresh_edges` (as
+  /// TaskGraph::add_edges returned them), and `contraction` arrives holding
+  /// the chain contraction of the graph before the growth.  ContractChains
+  /// then extends it (core::extend_linear_chains) instead of contracting
+  /// the whole graph again.
+  int grown_from = -1;
+  std::vector<std::pair<core::TaskId, core::TaskId>> fresh_edges;
 
   // ---- working state (produced/consumed along the pass chain) ----
   core::ChainContraction contraction;                 ///< ContractChains

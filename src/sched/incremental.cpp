@@ -2,7 +2,9 @@
 
 #include <sstream>
 #include <utility>
+#include <vector>
 
+#include "ptask/core/graph_algorithms.hpp"
 #include "ptask/obs/metrics.hpp"
 #include "ptask/obs/trace.hpp"
 
@@ -88,32 +90,46 @@ const Schedule& IncrementalScheduler::extend(const GraphDelta& delta) {
     }
   }
 
-  // Grow a copy and swap it in only after the whole repair succeeded, so an
-  // invalid delta (or a throwing cost model) leaves the session untouched.
-  core::TaskGraph next = graph_;
-  for (const ArrivingTask& arriving : delta.tasks) {
-    next.add_task(arriving.task);
-  }
+  // Grow the accumulated graph in place.  A rejected edge batch pops the
+  // appended tasks again; a throwing pipeline (e.g. the cost model) also
+  // pops the batch's fresh edges -- the last entries of their adjacency
+  // lists -- so either way the session is left exactly as it was.
+  const int old_tasks = graph_.num_tasks();
+  std::vector<std::pair<core::TaskId, core::TaskId>> fresh;
   try {
-    next.add_edges(delta.edges);
+    for (const ArrivingTask& arriving : delta.tasks) {
+      graph_.add_task(arriving.task);
+    }
+    fresh = graph_.add_edges(delta.edges);
   } catch (const std::exception& error) {
+    graph_.roll_back(old_tasks, {});
     throw DeltaError(error.what());
   }
 
   // Fresh context per extend: the pricing cache keys on task addresses,
-  // which the graph copy invalidated.  The memo moves through the context
-  // (in before the run, back out after), making the pipeline re-entrant.
-  PassContext ctx = pipeline_.make_context(next, total_cores_);
+  // which the growth may move.  The memo and the previous contraction move
+  // through the context (in before the run, back out after), making the
+  // pipeline re-entrant; ContractChains extends the contraction in place.
+  PassContext ctx = pipeline_.make_context(graph_, total_cores_);
   ctx.memo = std::move(memo_);
+  ctx.contraction = std::move(current_.layered.contraction);
+  ctx.grown_from = old_tasks;
+  ctx.fresh_edges = std::move(fresh);
   Schedule result;
   try {
     result = pipeline_.run_with_context(ctx);
   } catch (...) {
     memo_ = std::move(ctx.memo);
+    graph_.roll_back(old_tasks, ctx.fresh_edges);
+    // The contraction is a pure function of the graph, so rebuilding it
+    // from the rolled-back graph restores the settled one exactly.
+    current_.layered.contraction =
+        pipeline_.options().contract_chains
+            ? core::contract_linear_chains(graph_)
+            : core::identity_contraction(graph_);
     throw;
   }
 
-  graph_ = std::move(next);
   current_ = std::move(result);
   memo_ = std::move(ctx.memo);
   stats_ = stats_from(ctx, &delta);

@@ -325,10 +325,20 @@ LayeredSchedule finalize_layered(PassContext& ctx) {
 
 void ContractChains::run(PassContext& ctx) const {
   obs::ScopedSpan span(obs::SpanKind::Scheduler, "sched.chain_contraction");
-  if (ctx.options.contract_chains) {
-    ctx.contraction = core::contract_linear_chains(*ctx.graph);
-  } else {
+  if (!ctx.options.contract_chains) {
     ctx.contraction = core::identity_contraction(*ctx.graph);
+  } else if (ctx.grown_from >= 0) {
+    static obs::Counter& extended =
+        obs::metrics().counter("sched.contraction.extended");
+    static obs::Counter& rebuilt =
+        obs::metrics().counter("sched.contraction.rebuilt");
+    (core::extend_linear_chains(ctx.contraction, *ctx.graph, ctx.grown_from,
+                                ctx.fresh_edges)
+         ? extended
+         : rebuilt)
+        .add();
+  } else {
+    ctx.contraction = core::contract_linear_chains(*ctx.graph);
   }
 }
 

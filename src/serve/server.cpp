@@ -786,6 +786,8 @@ std::string Server::handle_submit(const SubmitRequest& request,
       obs::metrics().counter("serve.incremental.submits");
   static obs::Histogram& phase_schedule =
       obs::metrics().histogram("serve.phase.schedule_us");
+  static obs::Histogram& phase_serialize =
+      obs::metrics().histogram("serve.phase.serialize_us");
   auto session = std::make_shared<SessionState>(request.machine);
   std::string session_id;
   {
@@ -802,15 +804,17 @@ std::string Server::handle_submit(const SubmitRequest& request,
   }
   try {
     std::lock_guard<std::mutex> lock(session->mutex);
-    std::string frame;
-    {
-      ServePhase schedule_phase("serve.schedule[incremental]", phase_schedule,
-                                trace.schedule_us);
-      const sched::Schedule& schedule = session->scheduler.reset(
-          request.graph, request.total_cores, request.release_time);
-      frame = session_frame(trace.request_id, session_id,
-                            session->scheduler.last_stats(), schedule);
-    }
+    ServePhase schedule_phase("serve.schedule[incremental]", phase_schedule,
+                              trace.schedule_us);
+    const sched::Schedule& schedule = session->scheduler.reset(
+        request.graph, request.total_cores, request.release_time);
+    schedule_phase.finish();
+    ServePhase serialize_phase("serve.serialize", phase_serialize,
+                               trace.serialize_us);
+    std::string frame = session_frame(trace.request_id, session_id,
+                                      session->scheduler.last_stats(),
+                                      schedule);
+    serialize_phase.finish();
     session->last_frame_bytes = frame.size();
     submits.add();
     return frame;
@@ -829,6 +833,8 @@ std::string Server::handle_extend(const ExtendRequest& request,
       obs::metrics().counter("serve.incremental.extends");
   static obs::Histogram& phase_schedule =
       obs::metrics().histogram("serve.phase.schedule_us");
+  static obs::Histogram& phase_serialize =
+      obs::metrics().histogram("serve.phase.serialize_us");
   std::shared_ptr<SessionState> session;
   {
     std::lock_guard<std::mutex> map_lock(sessions_mutex_);
@@ -840,25 +846,27 @@ std::string Server::handle_extend(const ExtendRequest& request,
     session = it->second;
   }
   std::lock_guard<std::mutex> lock(session->mutex);
-  std::string frame;
-  {
-    ServePhase schedule_phase("serve.schedule[incremental]", phase_schedule,
-                              trace.schedule_us);
-    try {
-      const sched::Schedule& schedule =
-          session->scheduler.extend(request.delta);
-      // Headroom over the previous frame absorbs this extend's growth.
-      const std::size_t hint =
-          session->last_frame_bytes + session->last_frame_bytes / 8;
-      frame = session_frame(trace.request_id, request.session,
-                            session->scheduler.last_stats(), schedule, hint);
-    } catch (const sched::DeltaError& e) {
-      // Invalid deltas (range, cycles, non-monotonic releases) leave the
-      // session untouched.  Surface them as session errors: the generic
-      // handler below would misfile them as PTS002 bad requests.
-      throw ProtocolError(kErrSession, e.what());
-    }
+  ServePhase schedule_phase("serve.schedule[incremental]", phase_schedule,
+                            trace.schedule_us);
+  const sched::Schedule* schedule = nullptr;
+  try {
+    schedule = &session->scheduler.extend(request.delta);
+  } catch (const sched::DeltaError& e) {
+    // Invalid deltas (range, cycles, non-monotonic releases) leave the
+    // session untouched.  Surface them as session errors: the generic
+    // handler below would misfile them as PTS002 bad requests.
+    throw ProtocolError(kErrSession, e.what());
   }
+  schedule_phase.finish();
+  ServePhase serialize_phase("serve.serialize", phase_serialize,
+                             trace.serialize_us);
+  // Headroom over the previous frame absorbs this extend's growth.
+  const std::size_t hint =
+      session->last_frame_bytes + session->last_frame_bytes / 8;
+  std::string frame =
+      session_frame(trace.request_id, request.session,
+                    session->scheduler.last_stats(), *schedule, hint);
+  serialize_phase.finish();
   session->last_frame_bytes = frame.size();
   extends.add();
   return frame;

@@ -13,6 +13,7 @@
 
 #include <cstdlib>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -23,6 +24,7 @@
 #include "ptask/cost/cost_model.hpp"
 #include "ptask/fuzz/generator.hpp"
 #include "ptask/fuzz/rng.hpp"
+#include "ptask/obs/metrics.hpp"
 #include "ptask/sched/incremental.hpp"
 #include "ptask/sched/pipeline.hpp"
 #include "ptask/sched/registry.hpp"
@@ -200,6 +202,62 @@ TEST(IncrementalScheduler, InvalidDeltasThrowAndLeaveTheSessionUntouched) {
             serve::serialize_schedule(inc.run(inc.graph(), 32)));
 }
 
+/// Prices like the plain model, except that pricing a task named "poison"
+/// throws -- a cost-model failure in the middle of a repair.
+class PoisonedCostModel final : public cost::CostModel {
+ public:
+  using cost::CostModel::CostModel;
+  double symbolic_task_time(const core::MTask& task, int q, int num_groups,
+                            int total_cores) const override {
+    if (task.name() == "poison") {
+      throw std::runtime_error("poisoned task priced");
+    }
+    return cost::CostModel::symbolic_task_time(task, q, num_groups,
+                                               total_cores);
+  }
+};
+
+TEST(IncrementalScheduler, ThrowingCostModelLeavesTheSessionUntouched) {
+  const PoisonedCostModel cost(test_machine());
+  // The pricing cache would call the base model directly; price through the
+  // subclass so the throw happens inside the pipeline.
+  LayerSchedulerOptions options;
+  options.cost_cache = false;
+  IncrementalScheduler inc(cost, options);
+  inc.reset(diamond_chain(), 32, /*release_time=*/1.0);
+  inc.extend(tail_delta(2.0, 6, 7));  // tasks 7 and 8 hang off the sink
+
+  const std::string before = serve::serialize_schedule(inc.current());
+  const std::string dot_before = inc.graph().to_dot();
+  const int tasks_before = inc.graph().num_tasks();
+  const int edges_before = inc.graph().num_edges();
+
+  // Grows old adjacency lists (7 -> 9 extends 7's chain, 8 -> 10) before
+  // the pipeline prices the poisoned task.
+  GraphDelta poisoned;
+  poisoned.release_time = 3.0;
+  for (const char* name : {"b0", "poison"}) {
+    ArrivingTask arriving;
+    arriving.task = work_task(name, 2.0e8);
+    arriving.release_time = 3.0;
+    poisoned.tasks.push_back(std::move(arriving));
+  }
+  poisoned.edges = {{7, 9}, {8, 10}, {9, 10}};
+  EXPECT_THROW(inc.extend(poisoned), std::runtime_error);
+
+  EXPECT_EQ(inc.graph().num_tasks(), tasks_before);
+  EXPECT_EQ(inc.graph().num_edges(), edges_before);
+  EXPECT_EQ(inc.graph().to_dot(), dot_before);
+  EXPECT_EQ(serve::serialize_schedule(inc.current()), before);
+  EXPECT_EQ(inc.last_release_time(), 2.0);
+
+  // The next valid extend repairs from the untouched state.
+  const Schedule& spliced = inc.extend(tail_delta(3.0, 7, 9));
+  EXPECT_EQ(serve::serialize_schedule(spliced),
+            serve::serialize_schedule(inc.run(inc.graph(), 32)));
+  EXPECT_EQ(inc.last_release_time(), 3.0);
+}
+
 TEST(IncrementalScheduler, DescribeReportsTaskCountsAndSpliceBoundary) {
   const arch::Machine machine = test_machine();
   const cost::CostModel cost(machine);
@@ -296,55 +354,115 @@ TEST(PassContextReuse, RerunWithoutDeltaIsANoOpAcrossFamiliesAndSeeds) {
 // Differential oracle over fuzz arrival streams.
 // ---------------------------------------------------------------------------
 
-TEST(IncrementalOracle, ArrivalStreamsAreBitIdenticalToFullReschedule) {
-  const std::uint64_t base = fuzz::substream(base_seed(), 0x10CA);
+/// Sweep totals of one oracle run.
+struct OracleTally {
+  int extends = 0;
+  int reused_layers = 0;
+};
+
+/// Replays `stream` through IncrementalScheduler and checks, after every
+/// extend, that the spliced schedule serializes byte-identically to a full
+/// re-schedule of the accumulated graph; the final schedule must also
+/// certify like a monolithic one.
+void check_stream(const fuzz::ArrivalStream& stream, OracleTally& tally) {
+  const arch::Machine machine(stream.instance.machine);
+  const cost::CostModel cost(machine);
+  const int cores = stream.instance.total_cores;
+
+  // Accumulating the stream must reproduce the instance's graph exactly.
+  ASSERT_EQ(fuzz::materialize(stream).num_tasks(),
+            stream.instance.graph.num_tasks());
+
+  IncrementalScheduler inc(cost);
+  inc.reset(stream.initial, cores, stream.initial_release);
+  for (std::size_t d = 0; d < stream.deltas.size(); ++d) {
+    inc.extend(stream.deltas[d]);
+    ++tally.extends;
+    tally.reused_layers += static_cast<int>(inc.last_stats().layers_reused);
+    // Oracle 1: bit-identity against a one-shot schedule of the graph
+    // accumulated so far (same strategy, so the serialized strategy name
+    // matches too).
+    ASSERT_EQ(serve::serialize_schedule(inc.current()),
+              serve::serialize_schedule(inc.run(inc.graph(), cores)))
+        << "after delta " << d;
+  }
+  ASSERT_EQ(inc.graph().num_tasks(), stream.instance.graph.num_tasks());
+  EXPECT_EQ(serve::serialize_schedule(inc.current()),
+            serve::serialize_schedule(inc.run(stream.instance.graph, cores)));
+
+  // Oracle 2: the spliced schedule certifies like a monolithic one.
+  const analysis::Certificate cert =
+      analysis::certify(stream.instance.graph, inc.current());
+  EXPECT_TRUE(cert.ok()) << analysis::render_text(cert.report);
+  EXPECT_EQ(cert.report.error_count(), 0);
+}
+
+/// Adds up to `per_delta` edges between already-arrived tasks to every
+/// delta, each from the earlier arrival to the later one.  Stream ids
+/// follow a topological order, so the graph stays acyclic; the edges may
+/// split settled chains, which the online model alone never does.
+fuzz::ArrivalStream with_settled_edges(fuzz::ArrivalStream stream,
+                                       std::uint64_t seed, int per_delta) {
+  fuzz::Rng rng(seed);
+  int arrived = stream.initial.num_tasks();
+  for (GraphDelta& delta : stream.deltas) {
+    for (int e = 0; e < per_delta && arrived >= 2; ++e) {
+      const core::TaskId to = rng.uniform(1, arrived - 1);
+      delta.edges.push_back({rng.uniform(0, to - 1), to});
+    }
+    arrived += static_cast<int>(delta.tasks.size());
+  }
+  stream.instance.graph = fuzz::materialize(stream);
+  return stream;
+}
+
+/// Runs check_stream over the seeded sweep; `old_edges` > 0 adds edges
+/// between already-arrived tasks to every delta.
+OracleTally sweep_streams(std::uint64_t stream_salt, int old_edges) {
+  const std::uint64_t base = fuzz::substream(base_seed(), stream_salt);
   const int count = instance_count();
   std::cerr << "[fuzz] incremental oracle: base seed " << base_seed() << " ("
             << count << " streams; override with PTASK_FUZZ_SEED / "
                "PTASK_FUZZ_INSTANCES)\n";
-  int extends = 0;
-  int reused_layers = 0;
+  OracleTally tally;
   for (int i = 0; i < count; ++i) {
     const std::uint64_t seed = fuzz::substream(base,
                                                static_cast<std::uint64_t>(i));
     const int batches = 2 + i % 4;  // 2..5 timed batches
-    const fuzz::ArrivalStream stream = fuzz::arrival_stream(seed, batches);
+    const fuzz::ArrivalStream stream = with_settled_edges(
+        fuzz::arrival_stream(seed, batches), fuzz::substream(seed, 0x01DE),
+        old_edges);
     SCOPED_TRACE("stream " + std::to_string(i) + " (seed " +
                  std::to_string(stream.instance.seed) + ", " +
                  stream.instance.name + "); reproduce with PTASK_FUZZ_SEED=" +
                  std::to_string(base_seed()));
-    const arch::Machine machine(stream.instance.machine);
-    const cost::CostModel cost(machine);
-    const int cores = stream.instance.total_cores;
-
-    // Accumulating the stream must reproduce the instance's graph exactly.
-    ASSERT_EQ(fuzz::materialize(stream).num_tasks(),
-              stream.instance.graph.num_tasks());
-
-    IncrementalScheduler inc(cost);
-    inc.reset(stream.initial, cores, stream.initial_release);
-    for (const GraphDelta& delta : stream.deltas) {
-      inc.extend(delta);
-      ++extends;
-      reused_layers += static_cast<int>(inc.last_stats().layers_reused);
-    }
-    ASSERT_EQ(inc.graph().num_tasks(), stream.instance.graph.num_tasks());
-
-    // Oracle 1: bit-identity against a one-shot schedule of the accumulated
-    // graph (same strategy, so the serialized strategy name matches too).
-    const Schedule full = inc.run(stream.instance.graph, cores);
-    EXPECT_EQ(serve::serialize_schedule(inc.current()),
-              serve::serialize_schedule(full));
-
-    // Oracle 2: the spliced schedule certifies like a monolithic one.
-    const analysis::Certificate cert =
-        analysis::certify(stream.instance.graph, inc.current());
-    EXPECT_TRUE(cert.ok()) << analysis::render_text(cert.report);
-    EXPECT_EQ(cert.report.error_count(), 0);
+    check_stream(stream, tally);
   }
-  EXPECT_GE(extends, count) << "every stream must replay at least one delta";
-  EXPECT_GT(reused_layers, 0)
+  EXPECT_GE(tally.extends, count)
+      << "every stream must replay at least one delta";
+  return tally;
+}
+
+TEST(IncrementalOracle, ArrivalStreamsAreBitIdenticalToFullReschedule) {
+  static obs::Counter& extended =
+      obs::metrics().counter("sched.contraction.extended");
+  const std::uint64_t before = extended.value();
+  const OracleTally tally = sweep_streams(0x10CA, /*old_edges=*/0);
+  EXPECT_GT(tally.reused_layers, 0)
       << "the sweep must exercise actual layer reuse, not just full re-runs";
+  EXPECT_GT(extended.value(), before)
+      << "append-only deltas must extend the contraction in place";
+}
+
+TEST(IncrementalOracle, EdgesIntoSettledTasksStayBitIdentical) {
+  // Old -> old edges split settled chains and send chain contraction down
+  // its full-rebuild path; the bytes must not notice.
+  static obs::Counter& rebuilt =
+      obs::metrics().counter("sched.contraction.rebuilt");
+  const std::uint64_t before = rebuilt.value();
+  sweep_streams(0x0DED, /*old_edges=*/3);
+  EXPECT_GT(rebuilt.value(), before)
+      << "old-target deltas must exercise the contraction fallback";
 }
 
 }  // namespace

@@ -1605,6 +1605,28 @@ TEST_F(ServeTest, SessionLifecycleMatchesADirectIncrementalRun) {
             kErrSession);
 }
 
+TEST_F(ServeTest, SessionFramesAreTimedAsSerializeNotSchedule) {
+  const fuzz::ArrivalStream stream = fuzz::arrival_stream(5, 2);
+  ASSERT_FALSE(stream.deltas.empty());
+  const std::string submitted =
+      client_.call(serialize_submit(submit_from(stream)));
+  ASSERT_TRUE(response_ok(submitted));
+
+  const obs::Histogram& schedule =
+      obs::metrics().histogram("serve.phase.schedule_us");
+  const obs::Histogram& serialize =
+      obs::metrics().histogram("serve.phase.serialize_us");
+  const std::uint64_t schedule_before = schedule.count();
+  const std::uint64_t serialize_before = serialize.count();
+  ExtendRequest extend;
+  extend.session = session_id_of(submitted);
+  extend.delta = stream.deltas.front();
+  ASSERT_TRUE(response_ok(client_.call(serialize_extend(extend))));
+  EXPECT_EQ(schedule.count(), schedule_before + 1);
+  EXPECT_EQ(serialize.count(), serialize_before + 1)
+      << "the session frame is serialize time, not schedule time";
+}
+
 TEST_F(ServeTest, Pts007UnknownSession) {
   ExtendRequest extend;
   extend.session = "sess-no-such";
