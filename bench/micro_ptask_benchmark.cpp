@@ -12,10 +12,12 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <numeric>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -27,6 +29,7 @@
 #include "ptask/ode/graph_gen.hpp"
 #include "ptask/rt/executor.hpp"
 #include "ptask/sched/cpa_scheduler.hpp"
+#include "ptask/sched/cpr_scheduler.hpp"
 #include "ptask/sched/incremental.hpp"
 #include "ptask/sched/layer_scheduler.hpp"
 #include "ptask/sched/portfolio.hpp"
@@ -291,6 +294,53 @@ void BM_CpaScheduler(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CpaScheduler)->Arg(64)->Arg(256);
+
+// CPR over a fixed pool of small fuzz instances drawn like the served
+// `mixed` workload's fresh requests: at most 400 tasks, on the CHiC, JuRoPA
+// and Altix presets.  On that pool CPR's trial list-schedules are most of
+// the portfolio's cost, so this tracks the moldable workspace's hot path.
+struct CprPoolInstance {
+  core::TaskGraph graph;
+  cost::CostModel cost;
+  int total_cores = 1;
+};
+
+const std::vector<CprPoolInstance>& cpr_fuzz_pool() {
+  static const std::vector<CprPoolInstance> pool = [] {
+    constexpr std::size_t kInstances = 64;
+    constexpr int kMaxTasks = 400;
+    std::vector<CprPoolInstance> out;
+    out.reserve(kInstances);
+    for (std::uint64_t seed = 1; out.size() < kInstances; ++seed) {
+      fuzz::Instance instance = fuzz::random_instance(seed);
+      const std::string& preset = instance.machine.name;
+      if (instance.graph.num_tasks() > kMaxTasks ||
+          (preset != "CHiC" && preset != "JuRoPA" && preset != "Altix")) {
+        continue;
+      }
+      out.push_back({std::move(instance.graph),
+                     cost::CostModel(arch::Machine(instance.machine)),
+                     instance.total_cores});
+    }
+    return out;
+  }();
+  return pool;
+}
+
+void BM_CprFuzzPool(benchmark::State& state) {
+  const std::vector<CprPoolInstance>& pool = cpr_fuzz_pool();
+  for (auto _ : state) {
+    for (const CprPoolInstance& instance : pool) {
+      benchmark::DoNotOptimize(sched::CprScheduler(instance.cost)
+                                   .schedule(instance.graph,
+                                             instance.total_cores));
+    }
+  }
+  state.counters["instances"] = static_cast<double>(pool.size());
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(pool.size()));
+}
+BENCHMARK(BM_CprFuzzPool)->Unit(benchmark::kMillisecond);
 
 void BM_PortfolioSchedule(benchmark::State& state) {
   const int cores = static_cast<int>(state.range(0));

@@ -1,6 +1,9 @@
 #include "ptask/sched/cpa_scheduler.hpp"
 
 #include <algorithm>
+#include <span>
+#include <utility>
+#include <vector>
 
 #include "ptask/core/graph_algorithms.hpp"
 
@@ -10,37 +13,31 @@ namespace {
 
 /// Shared CPA allocation loop; `alloc_cap[id]` bounds each task's cores.
 MoldableResult cpa_allocate_and_schedule(const core::TaskGraph& graph, int P,
-                                    const TaskTimeTable& table,
-                                    const std::vector<int>& alloc_cap) {
+                                         const TaskTimeTable& table,
+                                         const std::vector<int>& alloc_cap) {
   const int n = graph.num_tasks();
-  MoldableResult result;
-  result.allocation.assign(static_cast<std::size_t>(n), 1);
-
-  std::vector<double> task_time(static_cast<std::size_t>(n));
-  auto refresh_times = [&] {
-    for (core::TaskId id = 0; id < n; ++id) {
-      task_time[static_cast<std::size_t>(id)] =
-          table.time(id, result.allocation[static_cast<std::size_t>(id)]);
-    }
-  };
+  MoldableWorkspace workspace(graph, table);
+  std::vector<int> allocation(static_cast<std::size_t>(n), 1);
+  const std::span<const double> task_time = workspace.task_time();
   auto average_area = [&] {
     double area = 0.0;
     for (core::TaskId id = 0; id < n; ++id) {
       area += task_time[static_cast<std::size_t>(id)] *
-              result.allocation[static_cast<std::size_t>(id)];
+              allocation[static_cast<std::size_t>(id)];
     }
     return area / static_cast<double>(P);
   };
 
-  refresh_times();
+  std::vector<core::TaskId> path;
   while (true) {
-    const core::CriticalPathInfo cp = core::critical_path(graph, task_time);
-    if (cp.length <= average_area()) break;
+    workspace.price(allocation);
+    const double length = workspace.critical_path(path);
+    if (length <= average_area()) break;
 
     core::TaskId best = core::kInvalidTask;
     double best_gain = 0.0;
-    for (core::TaskId id : cp.path) {
-      const int p = result.allocation[static_cast<std::size_t>(id)];
+    for (core::TaskId id : path) {
+      const int p = allocation[static_cast<std::size_t>(id)];
       if (p >= alloc_cap[static_cast<std::size_t>(id)] ||
           p >= graph.task(id).max_cores()) {
         continue;
@@ -56,28 +53,28 @@ MoldableResult cpa_allocate_and_schedule(const core::TaskGraph& graph, int P,
       }
     }
     if (best == core::kInvalidTask || best_gain <= 0.0) break;
-    result.allocation[static_cast<std::size_t>(best)] += 1;
-    task_time[static_cast<std::size_t>(best)] =
-        table.time(best, result.allocation[static_cast<std::size_t>(best)]);
+    allocation[static_cast<std::size_t>(best)] += 1;
   }
 
-  result.schedule = list_schedule(graph, result.allocation, table);
+  MoldableResult result;
+  workspace.run(allocation);
+  result.schedule = workspace.materialize();
+  result.allocation = std::move(allocation);
   return result;
 }
 
 }  // namespace
 
 MoldableResult CpaScheduler::schedule(const core::TaskGraph& graph,
-                                 int total_cores) const {
+                                      int total_cores) const {
   const TaskTimeTable table(graph, *cost_, total_cores, mode_);
   const std::vector<int> cap(static_cast<std::size_t>(graph.num_tasks()),
                              total_cores);
   return cpa_allocate_and_schedule(graph, total_cores, table, cap);
 }
 
-
 MoldableResult McpaScheduler::schedule(const core::TaskGraph& graph,
-                                  int total_cores) const {
+                                       int total_cores) const {
   const TaskTimeTable table(graph, *cost_, total_cores, mode_);
   // Level-width bound: a task in a precedence level of width w may use at
   // most ceil(P / w) cores, so the level as a whole fits the machine.

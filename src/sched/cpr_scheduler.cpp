@@ -1,77 +1,75 @@
 #include "ptask/sched/cpr_scheduler.hpp"
 
 #include <algorithm>
+#include <span>
 #include <utility>
-
-#include "ptask/core/graph_algorithms.hpp"
+#include <vector>
 
 namespace ptask::sched {
 
 MoldableResult CprScheduler::schedule(const core::TaskGraph& graph,
-                                 int total_cores) const {
+                                      int total_cores) const {
   const int n = graph.num_tasks();
   const int P = total_cores;
   const TaskTimeTable table(graph, *cost_, P, mode_);
+  MoldableWorkspace workspace(graph, table);
 
-  MoldableResult result;
-  result.allocation.assign(static_cast<std::size_t>(n), 1);
-  result.schedule = list_schedule(graph, result.allocation, table);
+  std::vector<int> allocation(static_cast<std::size_t>(n), 1);
+  // The makespan of `allocation`; trials only need it, so the schedule is
+  // materialized once, at the end.
+  double current = workspace.run(allocation);
 
-  auto total_task_time = [&] {
-    double total = 0.0;
-    for (core::TaskId id = 0; id < n; ++id) {
-      total += table.time(id, result.allocation[static_cast<std::size_t>(id)]);
-    }
-    return total;
-  };
-
-  std::vector<double> task_time(static_cast<std::size_t>(n));
+  std::vector<core::TaskId> candidates;
   constexpr double kEps = 1e-15;
   bool improved = true;
   while (improved) {
     improved = false;
-    for (core::TaskId id = 0; id < n; ++id) {
-      task_time[static_cast<std::size_t>(id)] =
-          table.time(id, result.allocation[static_cast<std::size_t>(id)]);
-    }
-    const core::CriticalPathInfo cp = core::critical_path(graph, task_time);
-    const double sum_before = total_task_time();
+    // The last run priced `allocation`: it was the initial run or the trial
+    // accepted below, so its bottom levels are the current ones.
+    workspace.critical_path(candidates);
+    const double sum_before = workspace.total_time();
 
     // Try the critical-path tasks in decreasing bottom-level order.
-    std::vector<core::TaskId> candidates = cp.path;
+    const std::span<const double> bottom_level = workspace.bottom_level();
     std::sort(candidates.begin(), candidates.end(),
               [&](core::TaskId a, core::TaskId b) {
-                return cp.bottom_level[static_cast<std::size_t>(a)] >
-                       cp.bottom_level[static_cast<std::size_t>(b)];
+                return bottom_level[static_cast<std::size_t>(a)] >
+                       bottom_level[static_cast<std::size_t>(b)];
               });
     for (core::TaskId id : candidates) {
-      const int p = result.allocation[static_cast<std::size_t>(id)];
+      const int p = allocation[static_cast<std::size_t>(id)];
       if (p >= P || p >= graph.task(id).max_cores()) continue;
-      result.allocation[static_cast<std::size_t>(id)] = p + 1;
+      allocation[static_cast<std::size_t>(id)] = p + 1;
       // Cutoff prunes doomed trials: once the partial makespan exceeds
       // current + kEps neither the strict-improvement nor the tie branch
-      // below can accept, so list_schedule stops placing tasks early.  The
+      // below can accept, so the run stops placing tasks early.  The
       // decision is exactly the one the full schedule would produce (the
       // makespan only grows as tasks are placed).
-      GanttSchedule trial = list_schedule(
-          graph, result.allocation, table, result.schedule.makespan + kEps);
+      const double trial = workspace.run(allocation, current + kEps);
       // Accept strict makespan improvements; on an exact tie, accept if the
       // sum of the task times shrank (this is what lets CPR make progress
       // through the plateau of a layer of equal independent tasks, where
       // widening any single task cannot move the makespan until all of them
       // widened).
-      bool accept = trial.makespan < result.schedule.makespan - kEps;
-      if (!accept && trial.makespan <= result.schedule.makespan + kEps) {
-        accept = total_task_time() < sum_before - kEps;
+      bool accept = trial < current - kEps;
+      if (!accept && trial <= current + kEps) {
+        accept = workspace.total_time() < sum_before - kEps;
       }
       if (accept) {
-        result.schedule = std::move(trial);
+        current = trial;
         improved = true;
         break;  // recompute the critical path with the new allocation
       }
-      result.allocation[static_cast<std::size_t>(id)] = p;  // revert
+      allocation[static_cast<std::size_t>(id)] = p;  // revert
     }
   }
+
+  // An accepted trial is at most its own cutoff, so it ran to completion:
+  // re-running the final allocation reproduces the last accepted schedule.
+  MoldableResult result;
+  workspace.run(allocation);
+  result.schedule = workspace.materialize();
+  result.allocation = std::move(allocation);
   return result;
 }
 

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <limits>
+#include <map>
+#include <mutex>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -29,9 +32,39 @@ const char* to_string(PortfolioMetric metric) {
 
 namespace {
 
+/// Always-on metrics of one strategy: its wall time per portfolio run
+/// (`sched.portfolio.<strategy>_us`) and its wins
+/// (`sched.portfolio.win.<strategy>`).
+struct StrategyMetrics {
+  obs::Histogram* micros = nullptr;
+  obs::Counter* wins = nullptr;
+};
+
+/// The handles of `strategy`, looked up in the registry once per strategy
+/// name for the life of the process.
+const StrategyMetrics& strategy_metrics(const std::string& strategy) {
+  static std::mutex mutex;
+  static std::map<std::string, StrategyMetrics> handles;
+  const std::lock_guard<std::mutex> lock(mutex);
+  auto it = handles.find(strategy);
+  if (it == handles.end()) {
+    obs::MetricsRegistry& registry = obs::metrics();
+    it = handles
+             .emplace(strategy,
+                      StrategyMetrics{
+                          &registry.histogram("sched.portfolio." + strategy +
+                                              "_us"),
+                          &registry.counter("sched.portfolio.win." +
+                                            strategy)})
+             .first;
+  }
+  return it->second;
+}
+
 struct Candidate {
   StrategyScore score;
   Schedule schedule;
+  const StrategyMetrics* metrics = nullptr;
 };
 
 /// Runs one strategy and scores its schedule; failures are captured into
@@ -79,10 +112,12 @@ Candidate run_strategy(const std::string& name, const core::TaskGraph& graph,
     candidate.score.error = e.what();
     candidate.score.score = std::numeric_limits<double>::infinity();
   }
+  const auto elapsed = std::chrono::steady_clock::now() - start;
   candidate.score.millis =
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - start)
-          .count();
+      std::chrono::duration<double, std::milli>(elapsed).count();
+  candidate.metrics = &strategy_metrics(name);
+  candidate.metrics->micros->observe(static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(elapsed).count()));
   return candidate;
 }
 
@@ -174,7 +209,7 @@ Schedule PortfolioScheduler::run(const core::TaskGraph& graph,
   for (Candidate& c : candidates) report.scores.push_back(c.score);
   report.winner = candidates[best].score.strategy;
 
-  obs::metrics().counter("sched.portfolio.win." + report.winner).add();
+  candidates[best].metrics->wins->add();
 
   Schedule winner = std::move(candidates[best].schedule);
   {

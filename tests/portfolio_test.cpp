@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
 #include <memory>
 #include <stdexcept>
@@ -13,6 +14,7 @@
 
 #include "ptask/arch/machine.hpp"
 #include "ptask/cost/cost_model.hpp"
+#include "ptask/obs/metrics.hpp"
 #include "ptask/ode/graph_gen.hpp"
 #include "ptask/sched/portfolio.hpp"
 #include "ptask/sched/registry.hpp"
@@ -73,6 +75,34 @@ TEST_F(PortfolioTest, WinnerDominatesEveryIndividualStrategy) {
   EXPECT_EQ(winner.strategy, best_name)
       << "the winner keeps its own strategy name";
   EXPECT_EQ(report.scores.size(), individual_strategies().size());
+}
+
+TEST_F(PortfolioTest, EveryRunObservesEachStrategysTimeAndTheWinnersWin) {
+  const core::TaskGraph graph = solver_graph();
+  const std::vector<std::string> names = individual_strategies();
+  obs::MetricsRegistry& registry = obs::metrics();
+  auto snapshot = [&] {
+    std::vector<std::uint64_t> values;
+    for (const std::string& name : names) {
+      values.push_back(
+          registry.histogram("sched.portfolio." + name + "_us").count());
+      values.push_back(registry.counter("sched.portfolio.win." + name).value());
+    }
+    return values;
+  };
+  const std::vector<std::uint64_t> before = snapshot();
+  const PortfolioScheduler portfolio(cost_);
+  PortfolioReport report;
+  portfolio.run(graph, 32, report);
+  const std::vector<std::uint64_t> after = snapshot();
+  // The registry is process-global, but tests run one at a time, so the
+  // deltas are this run's: one sample per strategy, one win for the winner.
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    SCOPED_TRACE(names[i]);
+    EXPECT_EQ(after[2 * i], before[2 * i] + 1);
+    EXPECT_EQ(after[2 * i + 1],
+              before[2 * i + 1] + (names[i] == report.winner ? 1 : 0));
+  }
 }
 
 TEST_F(PortfolioTest, ScoreboardIsAppendedToTheWinnersNotes) {

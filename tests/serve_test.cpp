@@ -1206,6 +1206,17 @@ TEST_F(ServeTest, MetricsEndpointServesAConsistentExposition) {
   // Per-strategy breakdown exists for the strategy we used.
   EXPECT_NE(exposition.find("ptask_serve_strategy_portfolio_requests_total"),
             std::string::npos);
+
+  // The portfolio's per-strategy run times are always on (no --trace), one
+  // histogram per strategy it sweeps, next to the per-strategy win counters.
+  for (const std::string strategy : {"layer", "cpa", "mcpa", "cpr", "dp"}) {
+    SCOPED_TRACE(strategy);
+    const obs::PromHistogram micros = obs::parse_prometheus_histogram(
+        exposition, "ptask_sched_portfolio_" + strategy + "_us");
+    ASSERT_TRUE(micros.found);
+    EXPECT_GE(micros.count, 1u);
+  }
+  EXPECT_NE(exposition.find("ptask_sched_portfolio_win_"), std::string::npos);
 }
 
 // ---- slow-request log ----
