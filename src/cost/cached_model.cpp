@@ -37,45 +37,10 @@ std::uint64_t fingerprint(const core::MTask& task) {
   return h;
 }
 
-/// Injective fixed-width encoding of the pricing-relevant content plus the
-/// evaluation point.  Every field is appended as a fixed number of raw
-/// bytes, so two keys compare equal iff every field matches -- the
-/// content-mode map needs no collision guard.
-std::string content_key(const core::MTask& task, int q, int num_groups,
-                        int total_cores) {
-  std::string key;
-  key.reserve(8 + 4 * 3 + task.comms().size() * 24);
-  const auto put64 = [&key](std::uint64_t v) {
-    for (int byte = 0; byte < 8; ++byte) {
-      key.push_back(static_cast<char>((v >> (byte * 8)) & 0xff));
-    }
-  };
-  const auto put32 = [&key](std::uint32_t v) {
-    for (int byte = 0; byte < 4; ++byte) {
-      key.push_back(static_cast<char>((v >> (byte * 8)) & 0xff));
-    }
-  };
-  std::uint64_t work_bits = 0;
-  const double work = task.work_flop();
-  std::memcpy(&work_bits, &work, sizeof(work_bits));
-  put64(work_bits);
-  put32(static_cast<std::uint32_t>(task.max_cores()));
-  put32(static_cast<std::uint32_t>(q));
-  put32(static_cast<std::uint32_t>(num_groups));
-  put32(static_cast<std::uint32_t>(total_cores));
-  for (const core::CollectiveOp& op : task.comms()) {
-    put32(static_cast<std::uint32_t>(op.kind));
-    put32(static_cast<std::uint32_t>(op.scope));
-    put64(static_cast<std::uint64_t>(op.data_bytes));
-    put64(static_cast<std::uint64_t>(op.repeat));
-  }
-  return key;
-}
-
 }  // namespace
 
-CachedCostModel::CachedCostModel(const CostModel& base, KeyMode mode)
-    : CostModel(base.machine()), mode_(mode) {}
+CachedCostModel::CachedCostModel(const CostModel& base)
+    : CostModel(base.machine()) {}
 
 bool CachedCostModel::depends_on_num_groups(const core::MTask& task) {
   for (const core::CollectiveOp& op : task.comms()) {
@@ -101,31 +66,6 @@ double CachedCostModel::symbolic_task_time(const core::MTask& task, int q,
   static obs::Counter& hit_counter = obs::metrics().counter("sched.cache.hit");
   static obs::Counter& miss_counter =
       obs::metrics().counter("sched.cache.miss");
-
-  if (mode_ == KeyMode::Content) {
-    const int groups = depends_on_num_groups(task) ? num_groups : 0;
-    std::string key = content_key(task, q, groups, total_cores);
-    ContentShard& shard =
-        content_shards_[std::hash<std::string>{}(key)&(kShards - 1)];
-    {
-      const std::lock_guard<std::mutex> lock(shard.mutex);
-      const auto it = shard.entries.find(key);
-      if (it != shard.entries.end()) {
-        hits_.fetch_add(1, std::memory_order_relaxed);
-        hit_counter.add();
-        return it->second;
-      }
-    }
-    const double value =
-        CostModel::symbolic_task_time(task, q, num_groups, total_cores);
-    {
-      const std::lock_guard<std::mutex> lock(shard.mutex);
-      shard.entries.emplace(std::move(key), value);
-    }
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    miss_counter.add();
-    return value;
-  }
 
   Key key;
   key.task = &task;
@@ -160,10 +100,6 @@ double CachedCostModel::symbolic_task_time(const core::MTask& task, int q,
 
 void CachedCostModel::clear() {
   for (Shard& shard : shards_) {
-    const std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.entries.clear();
-  }
-  for (ContentShard& shard : content_shards_) {
     const std::lock_guard<std::mutex> lock(shard.mutex);
     shard.entries.clear();
   }

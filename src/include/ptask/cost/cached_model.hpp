@@ -5,8 +5,7 @@
 /// The scheduler passes evaluate symbolic task times repeatedly over the
 /// same (task, group size, group count) tuples: AdjustGroups re-prices the
 /// partition the group search chose, canonical() prices the Gantt
-/// lowering, and the portfolio auto-scheduler can repeat all of that per
-/// strategy.  CachedCostModel memoizes `symbolic_task_time` so each
+/// lowering.  CachedCostModel memoizes `symbolic_task_time` so each
 /// distinct evaluation is computed exactly once and every later call
 /// returns the identical double -- the wrapper is bit-transparent by
 /// contract (see docs/SCHEDULING.md).  The group search's candidate sweep
@@ -22,19 +21,10 @@
 /// independently of the concurrent group count (`num_groups` only sizes
 /// orthogonal collectives), so their entries ignore `num_groups`.
 ///
-/// Content-keyed mode (`KeyMode::Content`).  The serving layer batches
-/// requests whose graphs are distinct objects, so address-based keys never
-/// hit across batch members.  In content mode the key is an *injective*
-/// fixed-width encoding of the pricing-relevant content (work bits,
-/// max_cores, every collective) -- exact equality, no hash-collision risk,
-/// so identical tasks in different graphs share one entry and the wrapper
-/// stays bit-transparent by construction (symbolic_task_time is a pure
-/// function of that content plus the machine).
-///
 /// Thread safety.  The table is sharded (mutex per shard); concurrent
-/// lookups from PortfolioScheduler strategy threads and parallel AssignLPT
-/// layer workers are safe.  Hits/misses are counted per instance and in the
-/// global obs metrics registry (`sched.cache.hit` / `sched.cache.miss`).
+/// lookups from parallel AssignLPT layer workers are safe.  Hits/misses
+/// are counted per instance and in the global obs metrics registry
+/// (`sched.cache.hit` / `sched.cache.miss`).
 
 #include <array>
 #include <atomic>
@@ -48,15 +38,9 @@ namespace ptask::cost {
 
 class CachedCostModel final : public CostModel {
  public:
-  enum class KeyMode {
-    PerTask,  ///< address + fingerprint: entries are private to one graph
-    Content,  ///< exact content encoding: entries shared across graphs
-  };
-
   /// Wraps a fresh copy of `base`'s machine; computed values are
   /// bit-identical to `base`'s (same spec, same link parameters).
-  explicit CachedCostModel(const CostModel& base,
-                           KeyMode mode = KeyMode::PerTask);
+  explicit CachedCostModel(const CostModel& base);
 
   /// Memoized Tsymb(M, q); computes through CostModel::symbolic_task_time
   /// on the first evaluation of a key and returns the stored double on
@@ -97,18 +81,10 @@ class CachedCostModel final : public CostModel {
     std::mutex mutex;
     std::unordered_map<Key, double, KeyHash> entries;
   };
-  /// Content-mode shard: keyed on the injective content encoding (a
-  /// fixed-width byte string), so equality is exact content equality.
-  struct ContentShard {
-    std::mutex mutex;
-    std::unordered_map<std::string, double> entries;
-  };
 
   static constexpr std::size_t kShards = 16;
 
-  KeyMode mode_ = KeyMode::PerTask;
   mutable std::array<Shard, kShards> shards_;
-  mutable std::array<ContentShard, kShards> content_shards_;
   mutable std::atomic<std::uint64_t> hits_{0};
   mutable std::atomic<std::uint64_t> misses_{0};
 };

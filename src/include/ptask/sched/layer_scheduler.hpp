@@ -50,7 +50,7 @@ struct LayerSchedulerOptions {
 
   /// Memoize symbolic task times through a per-invocation
   /// cost::CachedCostModel shared by every pass and the canonical Gantt
-  /// lowering (and reuse a caller-provided cache, e.g. the portfolio's).
+  /// lowering.
   bool cost_cache = true;
   /// Assign tasks via an index min-heap over group loads (O(n log g))
   /// instead of a least-loaded linear scan (O(n g)); ties break towards

@@ -78,8 +78,8 @@ struct PassContext {
   LayerSchedulerOptions options;
 
   /// The model passes should price through: the invocation's shared
-  /// cost::CachedCostModel when options.cost_cache is on (owned below, or
-  /// a caller-provided cache such as the portfolio's), otherwise `cost`.
+  /// cost::CachedCostModel when options.cost_cache is on (owned below),
+  /// otherwise `cost`.
   /// Null in hand-built contexts; passes fall back to `cost`.
   const cost::CostModel* pricing = nullptr;
   /// Keeps a pipeline-created cache alive for the invocation.

@@ -16,12 +16,9 @@
 /// "schedule" requests are keyed by their canonical serialization and
 /// answered from a single-flight `ScheduleCache`, so a repeated
 /// graph/machine/scheduler request costs one scheduler run process-wide and
-/// every response carries byte-identical schedule bytes.  Requests that
-/// dequeue together and agree on (scheduler, machine, total_cores, certify)
-/// but differ in graph are *batched*: they run through one
-/// `sched::BatchScheduler` whose content-keyed pricing cache is shared
-/// across the members, amortizing cost-model evaluations -- with responses
-/// byte-identical to unbatched execution (the cache is bit-transparent).
+/// every response carries byte-identical schedule bytes.  Each worker pops
+/// one request at a time and responds as soon as it is done, so a cache
+/// hit never waits behind another request's scheduler run on its worker.
 ///
 /// Shutdown is graceful and prompt (eventfd wakeups, no poll timeouts):
 /// `stop()` closes the listener, lets the workers drain every admitted
@@ -44,10 +41,6 @@
 ///   serve.queue.wait_us     histogram of time spent queued before a
 ///                           worker picked the request up (the queue depth
 ///                           is a stats/metrics gauge)
-///   serve.batch.size        histogram of schedule-group sizes per worker
-///                           dequeue (size 1 = unbatched)
-///   serve.batch.runs        coalesced groups executed (size >= 2)
-///   serve.batch.coalesced   requests served through a coalesced group
 ///   serve.strategy.<s>.*    per-scheduler latency_us + requests
 ///   serve.family.<f>.*      per-workload-family latency_us + requests
 ///                           (from the request's "family" annotation)
@@ -84,10 +77,6 @@
 #include "ptask/serve/reactor.hpp"
 #include "ptask/serve/schedule_cache.hpp"
 
-namespace ptask::sched {
-class BatchScheduler;
-}  // namespace ptask::sched
-
 namespace ptask::serve {
 
 struct SubmitRequest;
@@ -113,15 +102,6 @@ struct ServerOptions {
   std::size_t max_queue = 1024;
   /// Backoff hint carried in PTS008 responses.
   std::uint64_t overload_retry_after_ms = 100;
-  /// Upper bound on requests one worker dequeues together (compatible
-  /// schedule requests among them are coalesced into one shared-pricing
-  /// batch).  1 disables batching.
-  int batch_max = 8;
-  /// Optional wait after the first dequeue for more requests to arrive and
-  /// join the batch, in microseconds.  0 (default) batches only what is
-  /// already queued -- batching then costs idle traffic zero added latency
-  /// and kicks in exactly when a backlog exists.
-  std::uint64_t batch_window_us = 0;
   /// Fault injection for the soak harness (default: from PTASK_FAULT_* env).
   rt::FaultOptions faults = rt::FaultOptions::from_env();
   /// Path of the slow-request log (JSON lines; see docs/OBSERVABILITY.md).
@@ -207,9 +187,8 @@ class Server {
   /// final (non-schedule kinds, parse errors); returns false with
   /// `job.request` filled for schedule requests awaiting execution.
   bool dispatch_payload(ParsedJob& job);
-  /// Cache lookup + (on miss) scheduler run for a schedule request; when
-  /// `batch` is non-null the run prices through the batch's shared cache.
-  void execute_schedule(ParsedJob& job, const sched::BatchScheduler* batch);
+  /// Cache lookup + (on miss) scheduler run for a schedule request.
+  void execute_schedule(ParsedJob& job);
   /// Session requests (online incremental scheduling); each returns the
   /// finished response frame.  These bypass the whole-schedule cache
   /// entirely: session responses depend on mutable per-session state, so

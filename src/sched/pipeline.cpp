@@ -578,15 +578,9 @@ PassContext Pipeline::make_context(const core::TaskGraph& graph,
   ctx.total_cores = total_cores;
   ctx.options = options_;
   if (options_.cost_cache) {
-    if (dynamic_cast<const cost::CachedCostModel*>(cost_) != nullptr) {
-      // The caller already prices through a cache (e.g. the portfolio's
-      // shared one); reuse it instead of stacking a second level.
-      ctx.pricing = cost_;
-    } else {
-      auto cache = std::make_shared<cost::CachedCostModel>(*cost_);
-      ctx.pricing = cache.get();
-      ctx.owned_cache = std::move(cache);
-    }
+    auto cache = std::make_shared<cost::CachedCostModel>(*cost_);
+    ctx.pricing = cache.get();
+    ctx.owned_cache = std::move(cache);
   } else {
     ctx.pricing = cost_;
   }

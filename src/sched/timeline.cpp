@@ -314,10 +314,12 @@ sim::SimResult TimelineEvaluator::simulate(
           layout.groups[static_cast<std::size_t>(edge.consumer_group)];
       const RedistLowering lowering = lower_redistribution(edge, src, dst);
       if (lowering.empty()) continue;
-      std::vector<int> comm_ranks;
-      comm_ranks.reserve(lowering.placement.size());
-      for (int core : lowering.placement) comm_ranks.push_back(rank_of.at(core));
-      programs.add_collective(lowering.schedule, comm_ranks);
+      std::vector<int> redist_ranks;
+      redist_ranks.reserve(lowering.placement.size());
+      for (int core : lowering.placement) {
+        redist_ranks.push_back(rank_of.at(core));
+      }
+      programs.add_collective(lowering.schedule, redist_ranks);
     }
 
     // Tasks, group by group (tasks of one group run back-to-back in

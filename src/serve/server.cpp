@@ -11,7 +11,6 @@
 #include <cstdio>
 #include <cstring>
 #include <deque>
-#include <map>
 #include <mutex>
 #include <optional>
 #include <stdexcept>
@@ -22,7 +21,6 @@
 #include "ptask/obs/metrics.hpp"
 #include "ptask/obs/prometheus.hpp"
 #include "ptask/obs/trace.hpp"
-#include "ptask/sched/batch.hpp"
 #include "ptask/sched/incremental.hpp"
 #include "ptask/sched/registry.hpp"
 #include "ptask/serve/protocol.hpp"
@@ -89,7 +87,6 @@ struct Server::RequestTrace {
   std::string error_code;  ///< "" on success
   bool cache_used = false;
   bool cache_hit = false;
-  int batch_size = 0;  ///< coalesced group size; 0 = not a schedule request
   double recv_us = -1.0;
   double queue_us = -1.0;
   double parse_us = -1.0;
@@ -166,16 +163,14 @@ struct Server::RequestJob {
 };
 
 /// A job after parse/dispatch, carrying either a final response or a
-/// schedule request awaiting (possibly batched) execution.
+/// schedule request awaiting execution.
 struct Server::ParsedJob {
   RequestJob job;
   RequestTrace trace;
   bool tracing = false;
   Clock::time_point t0{};  ///< latency clock (starts at parse)
   std::string response;    ///< the finished response frame
-  bool done = false;
   std::optional<ScheduleRequest> request;
-  std::string compat;  ///< batching compatibility key
 };
 
 /// Bounded admission queue between the reactor and the worker pool.
@@ -209,25 +204,14 @@ struct Server::RequestQueue {
     return Push::Ok;
   }
 
-  /// Blocks for the first job, then -- within `window_us` if configured --
-  /// takes up to `batch_max` jobs total.  Returns false when the queue is
-  /// closed and fully drained (worker exit).
-  bool pop_batch(std::vector<RequestJob>& out, int batch_max,
-                 std::uint64_t window_us) {
-    out.clear();
+  /// Blocks for the next job.  Returns false when the queue is closed and
+  /// fully drained (worker exit).
+  bool pop(RequestJob& out) {
     std::unique_lock<std::mutex> lock(mutex);
     cv.wait(lock, [&] { return closed || !jobs.empty(); });
     if (jobs.empty()) return false;
-    out.push_back(std::move(jobs.front()));
+    out = std::move(jobs.front());
     jobs.pop_front();
-    if (batch_max > 1 && window_us > 0 && jobs.empty() && !closed) {
-      cv.wait_for(lock, std::chrono::microseconds(window_us),
-                  [&] { return closed || !jobs.empty(); });
-    }
-    while (static_cast<int>(out.size()) < batch_max && !jobs.empty()) {
-      out.push_back(std::move(jobs.front()));
-      jobs.pop_front();
-    }
     depth.store(jobs.size(), std::memory_order_relaxed);
     return true;
   }
@@ -246,7 +230,6 @@ Server::Server(const ServerOptions& options)
       injector_(options.faults),
       cache_(options.cache_max_entries) {
   if (options_.num_workers < 1) options_.num_workers = 1;
-  if (options_.batch_max < 1) options_.batch_max = 1;
   if (options_.max_request_bytes > kMaxFrameBytes) {
     options_.max_request_bytes = kMaxFrameBytes;
   }
@@ -434,88 +417,34 @@ void Server::worker_loop(int worker_index) {
   obs::thread_context().worker = worker_index;
   static obs::Histogram& queue_wait =
       obs::metrics().histogram("serve.queue.wait_us");
-  static obs::Histogram& batch_size_hist =
-      obs::metrics().histogram("serve.batch.size");
-  static obs::Counter& batch_runs =
-      obs::metrics().counter("serve.batch.runs");
-  static obs::Counter& batch_coalesced =
-      obs::metrics().counter("serve.batch.coalesced");
 
-  std::vector<RequestJob> jobs;
-  while (queue_->pop_batch(jobs, options_.batch_max,
-                           options_.batch_window_us)) {
-    in_flight_.fetch_add(static_cast<int>(jobs.size()),
-                         std::memory_order_relaxed);
-    std::vector<ParsedJob> parsed;
-    parsed.reserve(jobs.size());
-    for (RequestJob& job : jobs) {
-      ParsedJob item;
-      item.tracing = obs::enabled();
-      item.trace.recv_us = job.recv_us;
-      const double wait_us = elapsed_us(job.t_enqueue);
-      item.trace.queue_us = wait_us;
-      queue_wait.observe(
-          static_cast<std::uint64_t>(wait_us > 0.0 ? wait_us : 0.0));
-      if (item.tracing) {
-        obs::Span queue_span;
-        queue_span.kind = obs::SpanKind::Serve;
-        queue_span.name = "serve.queue";
-        queue_span.worker = obs::thread_context().worker;
-        const double end_s = obs::tracer().now();
-        queue_span.begin_s = end_s - wait_us / 1e6;
-        queue_span.end_s = end_s;
-        obs::tracer().record(std::move(queue_span));
-      }
-      item.job = std::move(job);
-      item.done = dispatch_payload(item);
-      parsed.push_back(std::move(item));
+  RequestJob job;
+  while (queue_->pop(job)) {
+    in_flight_.fetch_add(1, std::memory_order_relaxed);
+    ParsedJob item;
+    item.tracing = obs::enabled();
+    item.trace.recv_us = job.recv_us;
+    const double wait_us = elapsed_us(job.t_enqueue);
+    item.trace.queue_us = wait_us;
+    queue_wait.observe(
+        static_cast<std::uint64_t>(wait_us > 0.0 ? wait_us : 0.0));
+    if (item.tracing) {
+      obs::Span queue_span;
+      queue_span.kind = obs::SpanKind::Serve;
+      queue_span.name = "serve.queue";
+      queue_span.worker = obs::thread_context().worker;
+      const double end_s = obs::tracer().now();
+      queue_span.begin_s = end_s - wait_us / 1e6;
+      queue_span.end_s = end_s;
+      obs::tracer().record(std::move(queue_span));
     }
+    item.job = std::move(job);
+    if (!dispatch_payload(item)) execute_schedule(item);
 
-    // Coalesce compatible schedule requests: same (scheduler, total_cores,
-    // certify, machine), different graphs.  Members run sequentially over
-    // one shared content-keyed pricing cache; the first-seen order keys the
-    // map deterministically (std::map over the compat string).
-    std::map<std::string, std::vector<std::size_t>> groups;
-    for (std::size_t i = 0; i < parsed.size(); ++i) {
-      if (!parsed[i].done) groups[parsed[i].compat].push_back(i);
-    }
-    for (const auto& [compat, members] : groups) {
-      batch_size_hist.observe(members.size());
-      if (members.size() >= 2) {
-        batch_runs.add();
-        batch_coalesced.add(members.size());
-        std::optional<obs::ScopedSpan> batch_span;
-        if (obs::enabled()) {
-          batch_span.emplace(obs::SpanKind::Serve, "serve.batch");
-        }
-        std::optional<sched::BatchScheduler> batch;
-        const ScheduleRequest& first = *parsed[members.front()].request;
-        try {
-          const cost::CostModel base{arch::Machine(first.machine)};
-          batch.emplace(first.scheduler, base);
-        } catch (...) {
-          // Construction can only fail like an unbatched run would (bad
-          // machine / unknown scheduler); fall through to the per-member
-          // path so each member reports its own error.
-        }
-        for (const std::size_t index : members) {
-          parsed[index].trace.batch_size =
-              static_cast<int>(members.size());
-          execute_schedule(parsed[index],
-                           batch ? &*batch : nullptr);
-        }
-      } else {
-        parsed[members.front()].trace.batch_size = 1;
-        execute_schedule(parsed[members.front()], nullptr);
-      }
-    }
-
-    for (ParsedJob& item : parsed) {
-      item.trace.total_us = elapsed_us(item.job.t_request);
-      finish_request(item.trace, item.job.span_begin_s, item.tracing);
-      reactor_->respond(item.job.conn_id, std::move(item.response));
-      in_flight_.fetch_sub(1, std::memory_order_relaxed);
-    }
+    item.trace.total_us = elapsed_us(item.job.t_request);
+    finish_request(item.trace, item.job.span_begin_s, item.tracing);
+    reactor_->respond(item.job.conn_id, std::move(item.response));
+    in_flight_.fetch_sub(1, std::memory_order_relaxed);
   }
 }
 
@@ -629,15 +558,6 @@ bool Server::dispatch_payload(ParsedJob& item) {
     parse_phase.finish();
     trace.scheduler = request.scheduler;
     trace.family = request.family;
-    // Compatibility key for coalescing: everything that must agree for two
-    // requests to share one scheduler + pricing-cache instance.  The
-    // machine is keyed by its canonical serialization (field order and
-    // number formatting are fixed), so equal specs -- not just equal
-    // objects -- group together.
-    item.compat = request.scheduler + '\x1f' +
-                  std::to_string(request.total_cores) + '\x1f' +
-                  (request.certify ? '1' : '0') + '\x1f' +
-                  serialize_machine(request.machine);
     item.request.emplace(std::move(request));
     return false;
   } catch (const ProtocolError& e) {
@@ -655,8 +575,7 @@ bool Server::dispatch_payload(ParsedJob& item) {
   }
 }
 
-void Server::execute_schedule(ParsedJob& item,
-                              const sched::BatchScheduler* batch) {
+void Server::execute_schedule(ParsedJob& item) {
   static obs::Counter& responses_ok =
       obs::metrics().counter("serve.responses.ok");
   static obs::Histogram& latency =
@@ -700,17 +619,11 @@ void Server::execute_schedule(ParsedJob& item,
           ServePhase schedule_phase("serve.schedule[" + request.scheduler +
                                         "]",
                                     phase_schedule, trace.schedule_us);
-          if (batch != nullptr) {
-            // Batched: price over the group's shared content-keyed cache.
-            // Bit-transparent, so the bytes below equal an unbatched run.
-            schedule = batch->run(request.graph, request.total_cores);
-          } else {
-            const cost::CostModel cost{arch::Machine(request.machine)};
-            const std::unique_ptr<sched::Scheduler> scheduler =
-                sched::SchedulerRegistry::instance().make(request.scheduler,
-                                                          cost);
-            schedule = scheduler->run(request.graph, request.total_cores);
-          }
+          const cost::CostModel cost{arch::Machine(request.machine)};
+          const std::unique_ptr<sched::Scheduler> scheduler =
+              sched::SchedulerRegistry::instance().make(request.scheduler,
+                                                        cost);
+          schedule = scheduler->run(request.graph, request.total_cores);
         }
         // Opt-in audit before the bytes become cacheable: a certification
         // failure throws, which evicts the single-flight placeholder --
@@ -910,15 +823,11 @@ void Server::append_stats(std::string& out) const {
   std::uint64_t requests = 0;
   std::uint64_t responses_ok = 0;
   std::uint64_t truncated = 0;
-  std::uint64_t batch_runs = 0;
-  std::uint64_t batch_coalesced = 0;
   std::vector<std::pair<std::string, std::uint64_t>> errors;
   for (const obs::CounterSample& row : counters) {
     if (row.name == "serve.requests") requests = row.value;
     if (row.name == "serve.responses.ok") responses_ok = row.value;
     if (row.name == "serve.truncated") truncated = row.value;
-    if (row.name == "serve.batch.runs") batch_runs = row.value;
-    if (row.name == "serve.batch.coalesced") batch_coalesced = row.value;
     if (row.name.rfind("serve.error.", 0) == 0) {
       errors.emplace_back(row.name.substr(sizeof("serve.error.") - 1),
                           row.value);
@@ -947,8 +856,6 @@ void Server::append_stats(std::string& out) const {
       std::to_string(queue_ ? queue_->rejected.load(std::memory_order_relaxed)
                             : 0) +
       '}';
-  out += ",\"batch\":{\"runs\":" + std::to_string(batch_runs);
-  out += ",\"coalesced\":" + std::to_string(batch_coalesced) + '}';
   out += ",\"cache\":{\"hits\":" + std::to_string(cache_.hits());
   out += ",\"misses\":" + std::to_string(cache_.misses());
   out += ",\"entries\":" + std::to_string(cache_.entries());
@@ -1078,9 +985,6 @@ void Server::finish_request(const RequestTrace& trace, double span_begin_s,
   line += ",\"cache\":";
   append_json_string(
       line, trace.cache_used ? (trace.cache_hit ? "hit" : "miss") : "none");
-  if (trace.batch_size > 1) {
-    line += ",\"batch\":" + std::to_string(trace.batch_size);
-  }
   line += ",\"error\":";
   if (trace.error_code.empty()) {
     line += "null";

@@ -37,7 +37,6 @@
 #include "ptask/obs/metrics.hpp"
 #include "ptask/obs/prometheus.hpp"
 #include "ptask/obs/trace.hpp"
-#include "ptask/sched/batch.hpp"
 #include "ptask/sched/incremental.hpp"
 #include "ptask/sched/registry.hpp"
 #include "ptask/serve/client.hpp"
@@ -2043,63 +2042,21 @@ TEST(ServeShutdown, StatsAfterStopKeepQueueTotals) {
   EXPECT_EQ(queue->find("depth")->number, 0.0);
 }
 
-// ---- compatible-request batching ----
-
-TEST(ServeBatch, SharedPricingKeepsBatchMembersByteIdentical) {
-  // Unit-level bit-identity: for every fuzz family, several graphs run
-  // through one BatchScheduler (shared content-keyed pricing cache) must
-  // serialize exactly like fresh unbatched runs.
-  std::map<fuzz::GraphFamily, int> covered;
-  std::uint64_t seed = 20;
-  const int per_family = 2;
-  while (covered.size() < 5u ||
-         std::any_of(covered.begin(), covered.end(),
-                     [&](const auto& kv) { return kv.second < per_family; })) {
-    const fuzz::Instance instance = fuzz::random_instance(seed++);
-    if (covered[instance.family] >= per_family) continue;
-    if (instance.graph.num_tasks() > 200) continue;  // keep the test quick
-    ++covered[instance.family];
-    const cost::CostModel base{arch::Machine(instance.machine)};
-    for (const std::string strategy : {"layer", "portfolio"}) {
-      const sched::BatchScheduler batch(strategy, base);
-      const auto direct =
-          sched::SchedulerRegistry::instance().make(strategy, base);
-      const std::string batched = serialize_schedule(
-          batch.run(instance.graph, instance.total_cores));
-      const std::string unbatched = serialize_schedule(
-          direct->run(instance.graph, instance.total_cores));
-      EXPECT_EQ(batched, unbatched) << instance.name << " via " << strategy;
-      // Re-running the same graph through the shared cache prices every
-      // task from the cache -- and stays byte-identical.
-      const std::uint64_t misses_before = batch.pricing_misses();
-      EXPECT_EQ(serialize_schedule(
-                    batch.run(instance.graph, instance.total_cores)),
-                unbatched);
-      EXPECT_GT(batch.pricing_hits(), 0u) << instance.name;
-      EXPECT_EQ(batch.pricing_misses(), misses_before)
-          << instance.name << ": repeat run should not re-price any task";
-    }
-  }
-}
-
-TEST(ServeBatch, CoalescedWireRequestsMatchDirectRunsAndShareOneRun) {
+TEST_F(ServeTest, ConcurrentDistinctRequestsOnOneWorkerMatchDirectRuns) {
+  // Swap the fixture's pool for a single worker.
+  client_.close();
+  server_->stop();
   ServerOptions options;
   options.num_workers = 1;
-  options.batch_max = 8;
-  options.batch_window_us = 50000;  // generous: senders start within 50ms
-  Server server(options);
-  server.start();
+  server_ = std::make_unique<Server>(options);
+  server_->start();
 
-  // Compatible requests (same scheduler/cores/machine, distinct graphs)
-  // sent concurrently against one worker coalesce into a shared batch; the
-  // responses must be byte-identical to direct unbatched runs regardless.
-  const std::uint64_t coalesced_before =
-      obs::metrics().counter("serve.batch.coalesced").value();
+  // Requests with the same scheduler/cores/machine but distinct graphs,
+  // sent concurrently against one worker, queue behind each other; every
+  // response must be byte-identical to a direct run of its own request.
   std::vector<ScheduleRequest> requests;
-  const arch::MachineSpec machine = tiny_request().machine;
   for (int i = 0; i < 4; ++i) {
     ScheduleRequest request = tiny_request();
-    request.machine = machine;
     core::MTask extra("extra" + std::to_string(i), 3.0e8 + 1.0e7 * i);
     request.graph.add_task(extra);
     requests.push_back(std::move(request));
@@ -2109,7 +2066,7 @@ TEST(ServeBatch, CoalescedWireRequestsMatchDirectRunsAndShareOneRun) {
   for (std::size_t i = 0; i < requests.size(); ++i) {
     threads.emplace_back([&, i] {
       Client client;
-      client.connect("127.0.0.1", server.port());
+      client.connect("127.0.0.1", server_->port());
       responses[i] = client.call(serialize_request(requests[i]));
     });
   }
@@ -2118,12 +2075,8 @@ TEST(ServeBatch, CoalescedWireRequestsMatchDirectRunsAndShareOneRun) {
     ASSERT_TRUE(response_ok(responses[i])) << responses[i];
     EXPECT_EQ(response_schedule_json(responses[i]),
               direct_schedule_bytes(requests[i]))
-        << "batched response " << i << " diverged from the direct run";
+        << "response " << i << " diverged from the direct run";
   }
-  EXPECT_GE(obs::metrics().counter("serve.batch.coalesced").value(),
-            coalesced_before + 2)
-      << "concurrent compatible requests never coalesced";
-  server.stop();
 }
 
 }  // namespace

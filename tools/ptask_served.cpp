@@ -10,24 +10,18 @@
 // Usage:
 //   ptask_served [--port N] [--workers N] [--max-request-bytes N]
 //                [--cache-max-entries N] [--max-queue N]
-//                [--retry-after-ms N] [--batch-max N] [--batch-window-us N]
-//                [--stats-out FILE] [--metrics-out FILE]
+//                [--retry-after-ms N] [--stats-out FILE] [--metrics-out FILE]
 //                [--snapshot-interval-s N] [--slow-log FILE]
 //                [--slow-threshold-us N] [--trace] [--quiet]
 //
 // --cache-max-entries bounds the schedule cache to N completed entries
 // (LRU eviction, reported as serve.cache.evictions); 0 = unbounded.
 //
-// Overload & batching (see docs/SERVICE.md "Throughput & overload"):
+// Overload (see docs/SERVICE.md "Throughput & overload"):
 //   --max-queue N         admission-queue bound between the reactor and the
 //                         workers; a request arriving with the queue full is
 //                         answered PTS008 immediately (0 = unbounded)
 //   --retry-after-ms N    backoff hint carried in PTS008 responses
-//   --batch-max N         max requests one worker dequeues together;
-//                         compatible schedule requests among them share one
-//                         pricing cache (1 disables batching)
-//   --batch-window-us N   optional wait for more requests to join a batch;
-//                         0 batches only the existing backlog
 //
 // Observability (see docs/OBSERVABILITY.md "Serving observability"):
 //   --stats-out FILE          JSON stats snapshot, refreshed every
@@ -66,8 +60,8 @@ int usage(const char* argv0) {
   std::cerr << "usage: " << argv0
             << " [--port N] [--workers N] [--max-request-bytes N]"
                " [--cache-max-entries N] [--max-queue N] [--retry-after-ms N]"
-               " [--batch-max N] [--batch-window-us N] [--stats-out FILE]"
-               " [--metrics-out FILE] [--snapshot-interval-s N]"
+               " [--stats-out FILE] [--metrics-out FILE]"
+               " [--snapshot-interval-s N]"
                " [--slow-log FILE] [--slow-threshold-us N] [--trace]"
                " [--quiet]\n";
   return 2;
@@ -119,10 +113,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--retry-after-ms") {
       options.overload_retry_after_ms =
           static_cast<std::uint64_t>(std::atoll(next()));
-    } else if (arg == "--batch-max") {
-      options.batch_max = std::atoi(next());
-    } else if (arg == "--batch-window-us") {
-      options.batch_window_us = static_cast<std::uint64_t>(std::atoll(next()));
     } else if (arg == "--stats-out") {
       stats_out = next();
     } else if (arg == "--metrics-out") {

@@ -93,11 +93,6 @@ struct Frame {
   std::uint64_t queue_enqueued = 0;
   std::uint64_t queue_rejected = 0;
   PhaseRow queue_wait;  ///< serve.queue.wait_us percentiles
-  std::uint64_t batch_runs = 0;
-  std::uint64_t batch_coalesced = 0;
-  /// Per-bucket (non-cumulative) counts of serve.batch.size, non-empty
-  /// buckets only: (inclusive upper bound, count in this bucket).
-  std::vector<std::pair<double, std::uint64_t>> batch_sizes;
   std::vector<PhaseRow> phases;
   std::vector<std::pair<std::string, std::uint64_t>> strategies;
   std::vector<std::pair<std::string, std::uint64_t>> families;
@@ -175,16 +170,6 @@ Frame poll(serve::Client& client) {
     frame.queue_enqueued = queue_number("enqueued");
     frame.queue_rejected = queue_number("rejected");
   }
-  if (const obs::json::Value* batch = stats->find("batch")) {
-    const auto batch_number = [&](const char* key) -> std::uint64_t {
-      const obs::json::Value* v = batch->find(key);
-      return v != nullptr && v->is_number()
-                 ? static_cast<std::uint64_t>(v->number)
-                 : 0;
-    };
-    frame.batch_runs = batch_number("runs");
-    frame.batch_coalesced = batch_number("coalesced");
-  }
   if (const obs::json::Value* errors = stats->find("errors")) {
     for (const auto& [code, value] : errors->object) {
       if (!value.is_number()) continue;
@@ -235,23 +220,6 @@ Frame poll(serve::Client& client) {
   }
   frame.queue_wait =
       histogram_row("queue-wait", frame.exposition, "serve.queue.wait_us");
-  // Batch-size distribution: de-cumulate the exposition buckets and keep
-  // the non-empty ones (sizes are small integers, so the log buckets read
-  // naturally as "<=1", "<=2", "<=4", ...).
-  const obs::PromHistogram batch_hist = obs::parse_prometheus_histogram(
-      frame.exposition, obs::prometheus_name("serve.batch.size"));
-  if (batch_hist.found) {
-    std::uint64_t previous = 0;
-    for (const auto& [bound, cumulative] : batch_hist.buckets) {
-      if (cumulative > previous) {
-        // The +Inf overflow bucket is stored as -1 so the JSON frame stays
-        // numeric; batch sizes are tiny, so it is empty in practice.
-        frame.batch_sizes.emplace_back(std::isfinite(bound) ? bound : -1.0,
-                                       cumulative - previous);
-      }
-      previous = cumulative;
-    }
-  }
   frame.ok = true;
   return frame;
 }
@@ -317,19 +285,6 @@ std::string render_json(const Frame& frame, double rate_qps) {
                 static_cast<unsigned long long>(frame.queue_wait.count),
                 frame.queue_wait.p50_us, frame.queue_wait.p99_us);
   out += buf;
-  std::snprintf(buf, sizeof(buf),
-                ",\"batch\":{\"runs\":%llu,\"coalesced\":%llu,\"sizes\":[",
-                static_cast<unsigned long long>(frame.batch_runs),
-                static_cast<unsigned long long>(frame.batch_coalesced));
-  out += buf;
-  for (std::size_t i = 0; i < frame.batch_sizes.size(); ++i) {
-    if (i != 0) out += ',';
-    std::snprintf(buf, sizeof(buf), "{\"le\":%.0f,\"count\":%llu}",
-                  frame.batch_sizes[i].first,
-                  static_cast<unsigned long long>(frame.batch_sizes[i].second));
-    out += buf;
-  }
-  out += "]}";
   out += ",\"phases\":{";
   bool first = true;
   for (const PhaseRow& row : frame.phases) {
@@ -410,23 +365,6 @@ void render_text(const Frame& frame, double rate_qps, const Options& options,
                 rejected_pct, format_us(frame.queue_wait.p50_us).c_str(),
                 format_us(frame.queue_wait.p99_us).c_str());
   out += buf;
-  std::snprintf(buf, sizeof(buf), "batch    runs %llu   coalesced %llu\n",
-                static_cast<unsigned long long>(frame.batch_runs),
-                static_cast<unsigned long long>(frame.batch_coalesced));
-  out += buf;
-  if (!frame.batch_sizes.empty()) {
-    out += "  size       invocations\n";
-    for (const auto& [bound, count] : frame.batch_sizes) {
-      if (bound < 0) {
-        std::snprintf(buf, sizeof(buf), "  >max      %12llu\n",
-                      static_cast<unsigned long long>(count));
-      } else {
-        std::snprintf(buf, sizeof(buf), "  <=%-7.0f %12llu\n", bound,
-                      static_cast<unsigned long long>(count));
-      }
-      out += buf;
-    }
-  }
   std::snprintf(buf, sizeof(buf),
                 "latency  p50~%s  p90~%s  p99~%s  (count %llu)\n",
                 format_us(frame.p50_us).c_str(),
@@ -507,20 +445,6 @@ int self_check(const Frame& frame, std::uint64_t issued,
         "queue wait histogram count " +
             std::to_string(frame.queue_wait.count) + " < issued " +
             std::to_string(issued));
-  // Batch panel consistency: a batch run coalesces at least two requests,
-  // and the size histogram tallies every scheduler invocation (singleton
-  // groups included), so it covers at least the multi-request runs and is
-  // non-empty once schedule requests flowed.
-  check(frame.batch_coalesced >= 2 * frame.batch_runs,
-        "batch coalesced < 2x batch runs");
-  std::uint64_t batch_size_total = 0;
-  for (const auto& [bound, count] : frame.batch_sizes) {
-    batch_size_total += count;
-  }
-  check(batch_size_total >= frame.batch_runs,
-        "batch size histogram total " + std::to_string(batch_size_total) +
-            " < batch runs " + std::to_string(frame.batch_runs));
-  check(batch_size_total > 0, "no scheduler invocations in size histogram");
   // The dashboard's percentiles must be reproducible from the raw
   // exposition bytes (the --metrics-out artifact).
   const obs::PromHistogram latency = obs::parse_prometheus_histogram(
