@@ -103,7 +103,7 @@ void BM_LayerSchedulerLarge(benchmark::State& state) {
   const arch::Machine m = machine(cores / 64);
   const cost::CostModel cost(m);
   const core::TaskGraph& g = large_layered_graph();
-  const sched::LayerScheduler scheduler(cost);  // all optimizations on
+  const sched::LayerScheduler scheduler(cost);
   for (auto _ : state) {
     benchmark::DoNotOptimize(scheduler.schedule(g, cores));
   }
@@ -236,32 +236,6 @@ void BM_IncrementalExtend(benchmark::State& state) {
 BENCHMARK(BM_IncrementalExtend)->Arg(4096)->Iterations(16)->Repetitions(1)
     ->Unit(benchmark::kMillisecond);
 
-// The optimization-disabled reference path on the same instance -- the
-// denominator of the speedup recorded in BENCH_micro.json.  Pinned to one
-// iteration and one repetition (overriding --benchmark_repetitions): the
-// naive group search on 50k tasks x 4096 cores takes ~40 s, and a single
-// sample is plenty for a >20x headline ratio.
-void BM_LayerSchedulerLargeBaseline(benchmark::State& state) {
-  const int cores = static_cast<int>(state.range(0));
-  const arch::Machine m = machine(cores / 64);
-  const cost::CostModel cost(m);
-  const core::TaskGraph& g = large_layered_graph();
-  sched::LayerSchedulerOptions options;
-  options.cost_cache = false;
-  options.heap_lpt = false;
-  options.prune_group_search = false;
-  options.parallel_layers = 1;
-  const sched::LayerScheduler scheduler(cost, options);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(scheduler.schedule(g, cores));
-  }
-  state.counters["tasks"] = static_cast<double>(g.num_tasks());
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(g.num_tasks()));
-}
-BENCHMARK(BM_LayerSchedulerLargeBaseline)->Arg(4096)->Iterations(1)
-    ->Repetitions(1)->Unit(benchmark::kMillisecond);
-
 void BM_PortfolioScheduleLarge(benchmark::State& state) {
   const int cores = static_cast<int>(state.range(0));
   const arch::Machine m = machine(cores / 64);
@@ -269,7 +243,7 @@ void BM_PortfolioScheduleLarge(benchmark::State& state) {
   const core::TaskGraph& g = medium_layered_graph();
   // Restricted to the strategies that stay tractable at this size: cpa is
   // ~18 s and cpr runs into minutes on 6k tasks x 1024 cores, which would
-  // drown the hot-path + shared-cache signal this benchmark tracks.
+  // drown the layer-pipeline hot-path signal this benchmark tracks.
   sched::PortfolioOptions options;
   options.strategies = {"layer", "dp", "mcpa"};
   const sched::PortfolioScheduler scheduler(cost, options);

@@ -68,9 +68,13 @@ class CostModel {
                             int total_cores) const;
 
   /// Tsymb(M, q) = compute + comm (paper Section 3.2).  Virtual so that
-  /// memoizing wrappers (cost::CachedCostModel) can substitute for the
-  /// plain model on scheduler hot paths; any override must return the
-  /// bit-identical value this implementation computes.
+  /// tests can substitute a model (counting, throwing or re-weighting);
+  /// every scheduler prices through this call, so an override changes
+  /// every strategy alike.  The layer scheduler's group search shares one
+  /// time row per group size and prunes on compute shares, so an override
+  /// must be a pure function of its arguments, may read `num_groups` only
+  /// for tasks with Orthogonal-scope collectives, and must not return less
+  /// than symbolic_compute_time(task, q).
   virtual double symbolic_task_time(const core::MTask& task, int q,
                                     int num_groups, int total_cores) const;
 

@@ -41,27 +41,11 @@ struct LayerSchedulerOptions {
   /// Contract linear chains before layering.
   bool contract_chains = true;
 
-  // ---- performance knobs ----
-  // All four are bit-transparent by contract: enabling any combination
-  // must produce the byte-identical schedule of the all-disabled path
-  // (docs/SCHEDULING.md, "Scheduler hot-path performance").  They exist so
-  // the differential property tests can pin each optimization against the
-  // naive reference, and default to on.
-
-  /// Memoize symbolic task times through a per-invocation
-  /// cost::CachedCostModel shared by every pass and the canonical Gantt
-  /// lowering.
-  bool cost_cache = true;
-  /// Assign tasks via an index min-heap over group loads (O(n log g))
-  /// instead of a least-loaded linear scan (O(n g)); ties break towards
-  /// the lowest group index exactly like the scan.
-  bool heap_lpt = true;
-  /// Skip group-count candidates whose compute-only lower bound already
-  /// meets the incumbent layer time.
-  bool prune_group_search = true;
-  /// Schedule independent layers on up to this many threads (<= 1 runs
-  /// serially; layers are independent and tie-breaking is per-layer, so
-  /// the parallel path is bit-identical to the serial one).
+  /// The one performance knob (docs/SCHEDULING.md, "Scheduler hot-path
+  /// performance"): schedule independent layers on up to this many
+  /// threads (<= 1 runs serially; layers are independent and tie-breaking
+  /// is per-layer, so the parallel path is bit-identical to the serial
+  /// one).
   int parallel_layers = 1;
 };
 

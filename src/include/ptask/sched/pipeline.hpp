@@ -73,17 +73,9 @@ struct LayerMemoEntry {
 struct PassContext {
   // ---- inputs (set by Pipeline::run, constant across passes) ----
   const core::TaskGraph* graph = nullptr;  ///< original (uncontracted) graph
-  const cost::CostModel* cost = nullptr;
+  const cost::CostModel* cost = nullptr;   ///< every pass prices through it
   int total_cores = 0;
   LayerSchedulerOptions options;
-
-  /// The model passes should price through: the invocation's shared
-  /// cost::CachedCostModel when options.cost_cache is on (owned below),
-  /// otherwise `cost`.
-  /// Null in hand-built contexts; passes fall back to `cost`.
-  const cost::CostModel* pricing = nullptr;
-  /// Keeps a pipeline-created cache alive for the invocation.
-  std::shared_ptr<const cost::CostModel> owned_cache;
 
   /// Settled per-layer memo from a previous invocation (empty on the first
   /// run).  AssignLPT reuses every layer whose content signature matches an
@@ -188,9 +180,11 @@ class Pipeline final : public Scheduler {
   /// Appends a pass; returns *this for chaining.
   Pipeline& append(std::unique_ptr<Pass> pass);
 
-  /// The paper's Algorithm 1 as the canonical five-pass chain.
+  /// The paper's Algorithm 1 as the canonical five-pass chain, stamped
+  /// with `name` (the incremental scheduler runs it as "incremental").
   static Pipeline algorithm1(const cost::CostModel& cost,
-                             LayerSchedulerOptions options = {});
+                             LayerSchedulerOptions options = {},
+                             std::string name = "layer");
 
   std::string_view name() const override { return name_; }
   Schedule run(const core::TaskGraph& graph, int total_cores) const override;
@@ -200,9 +194,9 @@ class Pipeline final : public Scheduler {
   LayeredSchedule run_layered(const core::TaskGraph& graph,
                               int total_cores) const;
 
-  /// Builds a fresh context for `graph` (installs the invocation's pricing
-  /// cache per the options).  Public so re-entrant callers (the incremental
-  /// scheduler, tests) can thread memo state between invocations.
+  /// Builds a fresh context for `graph`.  Public so re-entrant callers
+  /// (the incremental scheduler, tests) can thread memo state between
+  /// invocations.
   PassContext make_context(const core::TaskGraph& graph,
                            int total_cores) const;
 

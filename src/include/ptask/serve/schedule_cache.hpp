@@ -2,11 +2,9 @@
 /// \file schedule_cache.hpp
 /// Sharded whole-schedule memo of the scheduling service.
 ///
-/// The cache generalizes `cost::CachedCostModel`'s content-fingerprint idea
-/// from single task times to whole schedules: the key is the request's
-/// *canonical serialization* (scheduler name, core count, machine spec, and
-/// the full graph including every task weight -- see
-/// `serve::canonical_key`), so two requests share an entry iff their
+/// The key is the request's *canonical serialization* (scheduler name, core
+/// count, machine spec, and the full graph including every task weight --
+/// see `serve::canonical_key`), so two requests share an entry iff their
 /// content is identical.  The full key string is compared on lookup (the
 /// hash only picks the shard and bucket), so near-collision requests --
 /// same shape, one weight different -- can never alias.

@@ -12,20 +12,6 @@ namespace ptask::sched {
 
 namespace {
 
-Pipeline incremental_pipeline(const cost::CostModel& cost,
-                              LayerSchedulerOptions options) {
-  // The exact Algorithm-1 pass chain under the "incremental" strategy name:
-  // the memo-aware replay lives inside AssignLPT/AdjustGroups, so the
-  // offline and online paths share every line of scheduling logic.
-  Pipeline pipeline(cost, "incremental", options);
-  pipeline.append(std::make_unique<ContractChains>())
-      .append(std::make_unique<Layerize>())
-      .append(std::make_unique<GroupSearch>())
-      .append(std::make_unique<AssignLPT>())
-      .append(std::make_unique<AdjustGroups>());
-  return pipeline;
-}
-
 RepairStats stats_from(const PassContext& ctx, const GraphDelta* delta) {
   RepairStats stats;
   stats.total_layers = ctx.layers_reused + ctx.layers_scheduled;
@@ -43,7 +29,10 @@ RepairStats stats_from(const PassContext& ctx, const GraphDelta* delta) {
 
 IncrementalScheduler::IncrementalScheduler(const cost::CostModel& cost,
                                            LayerSchedulerOptions options)
-    : pipeline_(incremental_pipeline(cost, options)) {}
+    // The exact Algorithm-1 pass chain under the "incremental" strategy
+    // name: the memo-aware replay lives inside AssignLPT/AdjustGroups, so
+    // the offline and online paths share every line of scheduling logic.
+    : pipeline_(Pipeline::algorithm1(cost, options, "incremental")) {}
 
 Schedule IncrementalScheduler::run(const core::TaskGraph& graph,
                                    int total_cores) const {
@@ -106,8 +95,7 @@ const Schedule& IncrementalScheduler::extend(const GraphDelta& delta) {
     throw DeltaError(error.what());
   }
 
-  // Fresh context per extend: the pricing cache keys on task addresses,
-  // which the growth may move.  The memo and the previous contraction move
+  // Fresh context per extend.  The memo and the previous contraction move
   // through the context (in before the run, back out after), making the
   // pipeline re-entrant; ContractChains extends the contraction in place.
   PassContext ctx = pipeline_.make_context(graph_, total_cores_);

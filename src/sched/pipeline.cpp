@@ -12,7 +12,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "ptask/cost/cached_model.hpp"
 #include "ptask/obs/metrics.hpp"
 #include "ptask/obs/trace.hpp"
 
@@ -20,18 +19,13 @@ namespace ptask::sched {
 
 namespace {
 
-/// Non-virtual evaluation target for the layer sweep's row fills: calling
-/// `model.BaseModel::symbolic_task_time(...)` computes the plain-model
-/// double directly, bypassing CachedCostModel's shard lock and insert for
-/// keys the per-layer row memo already deduplicates (and that would never
-/// repeat in the shared cache anyway).
-using BaseModel = cost::CostModel;
-
-/// The model passes price through: the invocation's memoizing cache when
-/// the pipeline installed one, the plain cost model otherwise (hand-built
-/// contexts).  Either way the returned values are bit-identical.
-const cost::CostModel& pricing_model(const PassContext& ctx) {
-  return ctx.pricing != nullptr ? *ctx.pricing : *ctx.cost;
+/// True when `task` carries an Orthogonal-scope collective, i.e. its
+/// symbolic time depends on the concurrent group count.
+bool depends_on_num_groups(const core::MTask& task) {
+  for (const core::CollectiveOp& op : task.comms()) {
+    if (op.scope == core::CommScope::Orthogonal) return true;
+  }
+  return false;
 }
 
 /// Per-layer working buffers, reused across the candidate group counts of
@@ -41,7 +35,6 @@ struct LayerScratch {
   std::vector<std::size_t> order;     ///< LPT order, carried across candidates
   std::vector<double> time;           ///< patched times at the large size
   std::vector<double> time_lo;        ///< patched times at the small size
-  std::vector<double> accumulated;    ///< scan-mode group loads
   std::vector<int> task_group;        ///< candidate assignment
   std::vector<std::pair<double, int>> heap;  ///< (load, group) min-heap
   /// Shared time rows: group size q -> per-task symbolic time.  Valid for
@@ -63,25 +56,29 @@ struct PruneStats {
 /// One layer of Algorithm 1: evaluate every candidate group count with an
 /// equal core split and the modified Sahni greedy assignment, keep the best.
 ///
-/// Bit-identity contract: for any combination of the LayerSchedulerOptions
-/// performance knobs this computes the byte-identical ScheduledLayer of the
-/// historical monolith (tests/pipeline_test.cpp pins it against a verbatim
-/// copy).  The invariants that make that hold:
+/// Bit-identity contract: this computes the byte-identical ScheduledLayer
+/// of the historical monolith, which priced every (task, candidate) pair
+/// afresh and scanned for the least-loaded group (tests pin it against a
+/// verbatim copy in tests/reference_layer_scheduler.hpp).  The invariants
+/// that make that hold:
 ///  * `order` is sorted for *every* candidate, pruned ones included --
 ///    std::sort is unstable, so the carried order (and with it the
 ///    placement of equal-time tasks in the winning candidate) depends on
 ///    the full sort history;
 ///  * the heap pops the lowest-index minimum load, exactly the group
 ///    std::min_element scans to;
-///  * memoized times are the same doubles the plain model computes;
+///  * a time row holds the doubles a per-candidate call returns: the model
+///    is a pure function of (task, q, g, P) that reads g only for tasks
+///    with orthogonal collectives, and those are re-priced per candidate;
 ///  * pruning uses true lower bounds (compute share at the largest group
 ///    size; the averaged bound is deflated by the worst-case summation
 ///    error), so a pruned candidate can never have beaten the incumbent.
+///  The last two hold for any model that keeps the CostModel contract on
+///  symbolic_task_time (cost_model.hpp).
 ScheduledLayer schedule_layer(const core::TaskGraph& graph,
                               const std::vector<core::TaskId>& tasks,
                               const std::vector<int>& candidates, int P,
                               const cost::CostModel& cost,
-                              const LayerSchedulerOptions& opt,
                               LayerScratch& s, PruneStats& stats) {
   const std::size_t n = tasks.size();
   ScheduledLayer best;
@@ -92,22 +89,12 @@ ScheduledLayer schedule_layer(const core::TaskGraph& graph,
   s.rows.clear();
   s.compute_bounds.clear();
   s.ortho.clear();
-  const bool cached = opt.cost_cache;
-  if (cached) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (cost::CachedCostModel::depends_on_num_groups(graph.task(tasks[i]))) {
-        s.ortho.push_back(i);
-      }
-    }
+  for (std::size_t i = 0; i < n; ++i) {
+    if (depends_on_num_groups(graph.task(tasks[i]))) s.ortho.push_back(i);
   }
 
   // Fills (once) the shared time row for group size q; entries of tasks
   // with orthogonal collectives stay 0 and are patched per candidate.
-  // Row fills and patches call the base model non-virtually: the rows ARE
-  // the memo here, and routing millions of never-repeating (task, q, g)
-  // keys through the shared CachedCostModel would be pure shard-lock and
-  // hash-insert overhead.  The qualified call computes the exact same
-  // doubles the cache would have stored.
   const auto shared_row = [&](int q, int g) -> const std::vector<double>& {
     auto [it, inserted] = s.rows.try_emplace(q);
     if (inserted) {
@@ -118,8 +105,7 @@ ScheduledLayer schedule_layer(const core::TaskGraph& graph,
           ++next_ortho;
           continue;
         }
-        it->second[i] =
-            cost.BaseModel::symbolic_task_time(graph.task(tasks[i]), q, g, P);
+        it->second[i] = cost.symbolic_task_time(graph.task(tasks[i]), q, g, P);
       }
     }
     return it->second;
@@ -132,8 +118,7 @@ ScheduledLayer schedule_layer(const core::TaskGraph& graph,
     if (s.ortho.empty()) return row.data();
     into = row;
     for (const std::size_t i : s.ortho) {
-      into[i] =
-          cost.BaseModel::symbolic_task_time(graph.task(tasks[i]), q, g, P);
+      into[i] = cost.symbolic_task_time(graph.task(tasks[i]), q, g, P);
     }
     return into.data();
   };
@@ -147,16 +132,7 @@ ScheduledLayer schedule_layer(const core::TaskGraph& graph,
     const int q_top = rem > 0 ? q_lo + 1 : q_lo;  // == equal_group_sizes[0]
 
     // Times at the first (largest) group size drive the LPT sort.
-    const double* time_top = nullptr;
-    if (cached) {
-      time_top = times_at(q_top, g, s.time);
-    } else {
-      s.time.resize(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        s.time[i] = cost.symbolic_task_time(graph.task(tasks[i]), q_top, g, P);
-      }
-      time_top = s.time.data();
-    }
+    const double* time_top = times_at(q_top, g, s.time);
 
     // The sort runs for every candidate, pruned ones included: `order`
     // carries across candidates (historical tie-break semantics), and
@@ -167,8 +143,7 @@ ScheduledLayer schedule_layer(const core::TaskGraph& graph,
                 return time_top[a] > time_top[b];
               });
 
-    if (opt.prune_group_search &&
-        best_time < std::numeric_limits<double>::infinity()) {
+    if (best_time < std::numeric_limits<double>::infinity()) {
       auto [it, inserted] = s.compute_bounds.try_emplace(q_top);
       if (inserted) {
         double max_c = 0.0;
@@ -199,52 +174,28 @@ ScheduledLayer schedule_layer(const core::TaskGraph& graph,
     }
     ++stats.evaluated;
 
-    const double* time_lo = time_top;
-    if (cached && rem > 0) time_lo = times_at(q_lo, g, s.time_lo);
+    const double* time_lo =
+        rem > 0 ? times_at(q_lo, g, s.time_lo) : time_top;
 
+    // Greedy assignment via a (load, group) min-heap: the heap minimum
+    // under lexicographic pair order is the lowest-index minimum load --
+    // exactly what a linear scan's std::min_element picks -- and each group
+    // accumulates the same time sequence, so the assignment is bit-identical
+    // at O(n log g) instead of O(n g).
     s.task_group.assign(n, 0);
+    s.heap.clear();
+    for (int gi = 0; gi < g; ++gi) s.heap.emplace_back(0.0, gi);
+    // All-zero loads with ascending indices already form a min-heap.
+    for (const std::size_t i : s.order) {
+      std::pop_heap(s.heap.begin(), s.heap.end(), std::greater<>{});
+      auto& [load, gi] = s.heap.back();
+      load += gi < rem ? time_top[i] : time_lo[i];
+      s.task_group[i] = gi;
+      std::push_heap(s.heap.begin(), s.heap.end(), std::greater<>{});
+    }
     double layer_time = 0.0;
-    if (opt.heap_lpt) {
-      // Greedy assignment via a (load, group) min-heap: the heap minimum
-      // under lexicographic pair order is the lowest-index minimum load --
-      // exactly what the linear scan's std::min_element picks -- and each
-      // group accumulates the same time sequence, so the assignment is
-      // bit-identical at O(n log g) instead of O(n g).
-      s.heap.clear();
-      for (int gi = 0; gi < g; ++gi) s.heap.emplace_back(0.0, gi);
-      // All-zero loads with ascending indices already form a min-heap.
-      for (const std::size_t i : s.order) {
-        std::pop_heap(s.heap.begin(), s.heap.end(), std::greater<>{});
-        auto& [load, gi] = s.heap.back();
-        const double t =
-            cached ? (gi < rem ? time_top[i] : time_lo[i])
-                   : cost.symbolic_task_time(graph.task(tasks[i]),
-                                             q_lo + (gi < rem ? 1 : 0), g, P);
-        load += t;
-        s.task_group[i] = gi;
-        std::push_heap(s.heap.begin(), s.heap.end(), std::greater<>{});
-      }
-      for (const auto& [load, gi] : s.heap) {
-        layer_time = std::max(layer_time, load);
-      }
-    } else {
-      // Reference path: each task onto the group with the smallest
-      // accumulated execution time (modified Sahni algorithm, line 10).
-      s.accumulated.assign(static_cast<std::size_t>(g), 0.0);
-      for (const std::size_t i : s.order) {
-        const std::size_t target = static_cast<std::size_t>(
-            std::min_element(s.accumulated.begin(), s.accumulated.end()) -
-            s.accumulated.begin());
-        const int gi = static_cast<int>(target);
-        const double t =
-            cached ? (gi < rem ? time_top[i] : time_lo[i])
-                   : cost.symbolic_task_time(graph.task(tasks[i]),
-                                             q_lo + (gi < rem ? 1 : 0), g, P);
-        s.accumulated[target] += t;
-        s.task_group[i] = gi;
-      }
-      layer_time =
-          *std::max_element(s.accumulated.begin(), s.accumulated.end());
+    for (const auto& [load, gi] : s.heap) {
+      layer_time = std::max(layer_time, load);
     }
 
     if (layer_time < best_time) {
@@ -382,7 +333,7 @@ void AssignLPT::run(PassContext& ctx) const {
 
   const core::TaskGraph& contracted = ctx.contraction.contracted;
   const int P = ctx.total_cores;
-  const cost::CostModel& cost = pricing_model(ctx);
+  const cost::CostModel& cost = *ctx.cost;
   const std::size_t n_layers = ctx.layer_tasks.size();
   ctx.layers.clear();
   ctx.layers.resize(n_layers);
@@ -462,8 +413,7 @@ void AssignLPT::run(PassContext& ctx) const {
       }
       ctx.layers[li] =
           schedule_layer(contracted, ctx.layer_tasks[li],
-                         ctx.group_candidates[li], P, cost, ctx.options,
-                         scratch, stats);
+                         ctx.group_candidates[li], P, cost, scratch, stats);
     }
   };
 
@@ -517,7 +467,7 @@ void AdjustGroups::run(PassContext& ctx) const {
   if (!ctx.options.adjust_group_sizes) return;
   obs::ScopedSpan span(obs::SpanKind::Scheduler, "sched.adjust");
   const core::TaskGraph& contracted = ctx.contraction.contracted;
-  const cost::CostModel& cost = pricing_model(ctx);
+  const cost::CostModel& cost = *ctx.cost;
   const int P = ctx.total_cores;
   for (std::size_t li = 0; li < ctx.layers.size(); ++li) {
     ScheduledLayer& layer = ctx.layers[li];
@@ -554,8 +504,9 @@ Pipeline& Pipeline::append(std::unique_ptr<Pass> pass) {
 }
 
 Pipeline Pipeline::algorithm1(const cost::CostModel& cost,
-                              LayerSchedulerOptions options) {
-  Pipeline pipeline(cost, "layer", options);
+                              LayerSchedulerOptions options,
+                              std::string name) {
+  Pipeline pipeline(cost, std::move(name), options);
   pipeline.append(std::make_unique<ContractChains>())
       .append(std::make_unique<Layerize>())
       .append(std::make_unique<GroupSearch>())
@@ -577,13 +528,6 @@ PassContext Pipeline::make_context(const core::TaskGraph& graph,
   ctx.cost = cost_;
   ctx.total_cores = total_cores;
   ctx.options = options_;
-  if (options_.cost_cache) {
-    auto cache = std::make_shared<cost::CachedCostModel>(*cost_);
-    ctx.pricing = cache.get();
-    ctx.owned_cache = std::move(cache);
-  } else {
-    ctx.pricing = cost_;
-  }
   return ctx;
 }
 
@@ -599,10 +543,7 @@ Schedule Pipeline::run(const core::TaskGraph& graph, int total_cores) const {
   obs::ScopedSpan span(obs::SpanKind::Scheduler, "sched.schedule");
   PassContext ctx = make_context(graph, total_cores);
   for (const std::unique_ptr<Pass>& pass : passes_) pass->run(ctx);
-  // Price the Gantt lowering through the same memo the passes filled (the
-  // contraction's task addresses are stable across the move).
-  Schedule result =
-      canonical(finalize_layered(ctx), pricing_model(ctx), name_);
+  Schedule result = canonical(finalize_layered(ctx), *ctx.cost, name_);
   result.layouts = std::move(ctx.layouts);
   result.notes = std::move(ctx.notes);
   return result;
@@ -619,7 +560,7 @@ Schedule Pipeline::run_with_context(PassContext& ctx) const {
   // full re-schedule -- to_gantt then runs the identical accumulation
   // arithmetic either way.
   const core::TaskGraph& contracted = ctx.contraction.contracted;
-  const cost::CostModel& cost = pricing_model(ctx);
+  const cost::CostModel& cost = *ctx.cost;
   const int P = ctx.total_cores;
   std::vector<double> time_of(
       static_cast<std::size_t>(contracted.num_tasks()), 0.0);

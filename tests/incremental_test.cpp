@@ -219,11 +219,7 @@ class PoisonedCostModel final : public cost::CostModel {
 
 TEST(IncrementalScheduler, ThrowingCostModelLeavesTheSessionUntouched) {
   const PoisonedCostModel cost(test_machine());
-  // The pricing cache would call the base model directly; price through the
-  // subclass so the throw happens inside the pipeline.
-  LayerSchedulerOptions options;
-  options.cost_cache = false;
-  IncrementalScheduler inc(cost, options);
+  IncrementalScheduler inc(cost);
   inc.reset(diamond_chain(), 32, /*release_time=*/1.0);
   inc.extend(tail_delta(2.0, 6, 7));  // tasks 7 and 8 hang off the sink
 

@@ -5,8 +5,8 @@ Reads the {"benchmarks": [{"name", "median_s", ...}]} document written by
 the benchmark binaries (--json PATH) and fails when any guarded benchmark's
 median wall time exceeds its ceiling.  Ceilings are deliberately generous
 -- an order of magnitude above the expected time on CI hardware -- so the
-guard only trips on genuine regressions (e.g. the scheduler hot-path
-optimizations being disabled or broken), not on runner noise.
+guard only trips on genuine regressions (e.g. a broken scheduler hot
+path), not on runner noise.
 
 A second mode diffs the results against a checked-in baseline (the repo
 ships BENCH_micro.json and BENCH_serve.json): every benchmark present in
